@@ -59,6 +59,15 @@ pub const PER_LAYER: [MetricDef; 24] = [
 pub const SETUP_REPEATS: usize = 3;
 /// Fewest measured passes per run, however long they take.
 pub const MIN_PASSES: usize = 3;
+/// `peak_rss_mb` covers the first this many measured passes (all of
+/// them in a shorter run), so that it measures the same work however
+/// fast the host runs. On `table1_paper` the peak now and then steps up
+/// by 13 MB (24%) and stays there for the rest of the process; over a
+/// whole 40 s run of about 250 passes that happened in one run in five,
+/// so each extra pass would add to the chance. On `dense_sweep_1024`
+/// whether two 1024×1024 walks overlap varies from pass to pass (pass
+/// peaks range 580–790 MB), so the peak needs many passes to settle.
+pub const PEAK_RSS_PASSES: usize = 40;
 
 /// What one run attempted, what failed, and what it measured.
 #[derive(Debug, Default)]
@@ -191,6 +200,16 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// `peak_rss_mb` from the peaks of the measured passes, in order: the
+/// highest of the first [`PEAK_RSS_PASSES`].
+pub fn peak_of_passes(peaks: &[f64]) -> f64 {
+    peaks
+        .iter()
+        .take(PEAK_RSS_PASSES)
+        .copied()
+        .fold(0.0, f64::max)
+}
+
 /// The process's peak resident set (`VmHWM`), in MiB.
 pub fn peak_rss_mb() -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status")
@@ -238,6 +257,15 @@ mod tests {
         assert_eq!(percentile(&values, 99.0), 99.0);
         assert_eq!(percentile(&values, 100.0), 100.0);
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
+    }
+
+    #[test]
+    fn peak_of_passes_covers_only_the_first_passes() {
+        let mut peaks = vec![50.0; PEAK_RSS_PASSES];
+        peaks[3] = 60.0;
+        peaks.push(70.0);
+        assert_eq!(peak_of_passes(&peaks), 60.0);
+        assert_eq!(peak_of_passes(&peaks[..2]), 50.0);
     }
 
     #[test]

@@ -21,7 +21,9 @@ use power_model::report::Table1Row;
 use sram_model::config::SramConfig;
 
 use crate::cli::Args;
-use crate::measure::{median, peak_rss_mb, RunReport, MIN_PASSES, SETUP_REPEATS};
+use crate::measure::{
+    median, peak_of_passes, peak_rss_mb, reset_peak_rss, RunReport, MIN_PASSES, SETUP_REPEATS,
+};
 use crate::spans::{Recorder, SpanId, Trace};
 
 /// Power sessions per pass: five algorithms × two modes.
@@ -112,18 +114,19 @@ pub fn timed(args: &Args, process_start: Instant, report: &mut RunReport) -> Res
     let (config, reference) = prepared.expect("at least one set-up");
     let error = prr_error(&reference)?;
 
-    let mut walls = Vec::new();
+    let (mut walls, mut peaks) = (Vec::new(), Vec::new());
     let measured = Instant::now();
     while walls.len() < MIN_PASSES || measured.elapsed() < Duration::from_secs(args.seconds) {
+        reset_peak_rss()?;
         let start = Instant::now();
         let rows = table(&config)?;
         walls.push(start.elapsed().as_secs_f64());
+        peaks.push(peak_rss_mb()?);
         report.attempted += SESSIONS_PER_PASS;
         if !identical(&reference, &rows) || prr_error(&rows)?.to_bits() != error.to_bits() {
             report.fail("a pass's Table 1 or PRR error differs from the first pass's");
         }
     }
-    report.set("peak_rss_mb", peak_rss_mb()?);
 
     // Output checks: parallel == serial, every session functionally
     // correct, and one session's replayed run == its full simulation.
@@ -170,6 +173,7 @@ pub fn timed(args: &Args, process_start: Instant, report: &mut RunReport) -> Res
         .map(|wall| pass_cycles(&config) / wall)
         .collect();
     report.set("setup_s", median(&setups));
+    report.set("peak_rss_mb", peak_of_passes(&peaks));
     report.set("jobs_per_s", median(&sessions));
     report.set("sim_cycles_per_s", median(&rates));
     report.set("prr_error_pct", error);
