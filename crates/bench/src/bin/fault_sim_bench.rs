@@ -29,57 +29,76 @@
 //! three-strings-per-fault `CoverageReport` (skip with
 //! `--no-scheduler`).
 //!
-//! Exit codes: `0` on success, `2` for a malformed command line, `3` when
-//! the output file cannot be written.
+//! The flags, the `--help` text and the exit codes (`0` on success, `2`
+//! for a malformed command line, `3` when the output file cannot be
+//! written) come from the `CLI` table; `--help` and every usage error
+//! are answered before any measurement runs.
 
 use std::process::ExitCode;
 
-use bench::cli::{arg_value, parse_flag, parse_size_list, CliError};
 use bench::throughput::FaultSimSweep;
+use campaign::cli::{parse_size_list, Args, Cli, Flag, Section, UsageError, HELP};
+
+/// The command line.
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    program: "fault_sim_bench",
+    synopsis: "[options]",
+    sections: &[&Section { title: "", flags: &[
+        Flag::value("--organization", "RxC,...", "organizations to sweep (default 64x64 .. 1024x1024)"),
+        Flag::value("--rows", "N", "rows of a single organization (default 64)"),
+        Flag::value("--cols", "N", "cols of a single organization (default 64)"),
+        Flag::value("--passes", "N", "timed passes per variant (default 3)"),
+        Flag::value("--out", "PATH", "output JSON (default BENCH_fault_sim.json)"),
+        Flag::value("--dense-size", "RxC", "dense-section array (default 1024x1024)"),
+        Flag::value("--dense-faults", "N", "dense-section population size (default 100000)"),
+        Flag::switch("--no-dense", "skip the dense section"),
+        Flag::switch("--no-campaign", "skip the campaign section"),
+        Flag::switch("--no-daemon", "skip the daemon section"),
+        Flag::switch("--no-scheduler", "skip the scheduler section"),
+        HELP,
+    ] }],
+    exit_codes: &[
+        (0, "success"),
+        (2, "usage error (unknown flag, malformed value)"),
+        (3, "the output file cannot be written"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(error) => {
-            eprintln!("fault_sim_bench: {error}");
-            ExitCode::from(2)
-        }
-    }
+    CLI.main(run)
 }
 
-fn run(args: &[String]) -> Result<ExitCode, CliError> {
+fn run(args: &Args) -> Result<ExitCode, UsageError> {
     // `--rows`/`--cols` select a single organization (the pre-sweep CLI);
     // `--organization` takes the comma list.
-    let single = match (arg_value(args, "--rows"), arg_value(args, "--cols")) {
-        (None, None) => None,
-        _ => Some((
-            parse_flag(args, "--rows", 64u32)?,
-            parse_flag(args, "--cols", 64u32)?,
-        )),
+    let single = if args.has("--rows") || args.has("--cols") {
+        Some((args.parse("--rows", 64)?, args.parse("--cols", 64)?))
+    } else {
+        None
     };
-    let organizations = match arg_value(args, "--organization") {
-        Some(spec) => parse_size_list(&spec, "--organization")?,
+    let organizations = match args.value("--organization") {
+        Some(spec) => parse_size_list(spec, "--organization")?,
         None => single.map_or_else(
             || vec![(64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024)],
             |size| vec![size],
         ),
     };
-    let passes: usize = parse_flag(args, "--passes", 3)?;
-    let out = arg_value(args, "--out").unwrap_or_else(|| "BENCH_fault_sim.json".to_string());
-    let dense = if args.iter().any(|a| a == "--no-dense") {
+    let passes: usize = args.parse("--passes", 3)?;
+    let out = args.value("--out").unwrap_or("BENCH_fault_sim.json");
+    let dense = if args.has("--no-dense") {
         None
     } else {
-        let (dense_rows, dense_cols) = match arg_value(args, "--dense-size") {
-            Some(spec) => parse_size_list(&spec, "--dense-size")?[0],
+        let (dense_rows, dense_cols) = match args.value("--dense-size") {
+            Some(spec) => parse_size_list(spec, "--dense-size")?[0],
             None => (1024, 1024),
         };
-        let dense_faults: usize = parse_flag(args, "--dense-faults", 100_000)?;
+        let dense_faults: usize = args.parse("--dense-faults", 100_000)?;
         Some((dense_rows, dense_cols, dense_faults))
     };
-    let campaign = !args.iter().any(|a| a == "--no-campaign");
-    let daemon = !args.iter().any(|a| a == "--no-daemon");
-    let scheduler = !args.iter().any(|a| a == "--no-scheduler");
+    let campaign = !args.has("--no-campaign");
+    let daemon = !args.has("--no-daemon");
+    let scheduler = !args.has("--no-scheduler");
 
     println!(
         "# Fault-simulation sweep throughput ({} organizations, {passes} passes per variant)",
@@ -216,9 +235,8 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         );
     }
 
-    if let Err(error) = std::fs::write(&out, sweep.to_json()) {
-        eprintln!("fault_sim_bench: cannot write {out}: {error}");
-        return Ok(ExitCode::from(3));
+    if let Err(error) = std::fs::write(out, sweep.to_json()) {
+        return Ok(CLI.failed(format!("cannot write {out}: {error}")));
     }
     println!("wrote {out}");
     Ok(ExitCode::SUCCESS)

@@ -17,32 +17,45 @@
 //! every size, and to the seed replica wherever the replica still runs.
 //! The default sweep is the ROADMAP's 64×64 → 1024×1024 scaling ladder.
 //!
-//! Exit codes: `0` on success, `2` for a malformed command line, `3` when
-//! the output file cannot be written.
+//! The flags, the `--help` text and the exit codes (`0` on success, `2`
+//! for a malformed command line, `3` when the output file cannot be
+//! written) come from the `CLI` table; `--help` and every usage error
+//! are answered before any measurement runs.
 
 use std::process::ExitCode;
 
-use bench::cli::{arg_value, parse_flag, parse_size_list, CliError};
 use bench::power_engine::power_engine_throughput;
+use campaign::cli::{parse_size_list, Args, Cli, Flag, Section, UsageError, HELP};
+
+/// The command line.
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    program: "power_engine_bench",
+    synopsis: "[options]",
+    sections: &[&Section { title: "", flags: &[
+        Flag::value("--sizes", "RxC,...", "organizations to measure (default 64x64 .. 1024x1024)"),
+        Flag::value("--passes", "N", "timed passes per variant (default 1)"),
+        Flag::value("--out", "PATH", "output JSON (default BENCH_power_engine.json)"),
+        HELP,
+    ] }],
+    exit_codes: &[
+        (0, "success"),
+        (2, "usage error (unknown flag, malformed value)"),
+        (3, "the output file cannot be written"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(error) => {
-            eprintln!("power_engine_bench: {error}");
-            ExitCode::from(2)
-        }
-    }
+    CLI.main(run)
 }
 
-fn run(args: &[String]) -> Result<ExitCode, CliError> {
-    let sizes = match arg_value(args, "--sizes") {
-        Some(spec) => parse_size_list(&spec, "--sizes")?,
+fn run(args: &Args) -> Result<ExitCode, UsageError> {
+    let sizes = match args.value("--sizes") {
+        Some(spec) => parse_size_list(spec, "--sizes")?,
         None => vec![(64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024)],
     };
-    let passes: usize = parse_flag(args, "--passes", 1)?;
-    let out = arg_value(args, "--out").unwrap_or_else(|| "BENCH_power_engine.json".to_string());
+    let passes: usize = args.parse("--passes", 1)?;
+    let out = args.value("--out").unwrap_or("BENCH_power_engine.json");
 
     println!(
         "# Power-engine throughput ({} organizations, {passes} pass(es) per variant)",
@@ -81,9 +94,8 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         );
     }
 
-    if let Err(error) = std::fs::write(&out, result.to_json()) {
-        eprintln!("power_engine_bench: cannot write {out}: {error}");
-        return Ok(ExitCode::from(3));
+    if let Err(error) = std::fs::write(out, result.to_json()) {
+        return Ok(CLI.failed(format!("cannot write {out}: {error}")));
     }
     println!("wrote {out}");
     Ok(ExitCode::SUCCESS)

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod json;
 pub mod power_engine;
 pub mod regression;

@@ -19,12 +19,9 @@
 //! journal replay reconstructs the dynamic plan — the export is
 //! byte-identical either way.
 //!
-//! Exit codes, same classes as `campaign_run`:
-//!
-//! * `0` — drained or quiesced cleanly, no poisoned jobs
-//! * `2` — usage error (unknown flag, malformed value)
-//! * `3` — campaign error (I/O, corrupt journal, injected crash)
-//! * `4` — drained, but some jobs are poison-quarantined
+//! Exit codes are the same classes as `campaign_run`'s; the flags, the
+//! `--help` text and the exit-code table come from
+//! [`campaign::cli::CAMPAIGN_DAEMON`].
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -32,56 +29,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use campaign::cli::{Args, UsageError, CAMPAIGN_DAEMON};
 use campaign::daemon::{run_daemon, DaemonOptions};
 use campaign::trace::{load_trace, replay_trace_injected};
 use campaign::{FaultInjector, Injection, SpoolDir};
-
-/// A malformed command line: the offending flag and why.
-#[derive(Debug)]
-struct UsageError {
-    flag: String,
-    reason: String,
-}
-
-impl UsageError {
-    fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
-
-const USAGE: &str = "usage: campaign_daemon --spool DIR --journal PATH [options]
-  --spool DIR           spool directory for job intake (required)
-  --journal PATH        dynamic (v2) journal file (required)
-  --threads N           worker threads (default: all cores)
-  --max-attempts N      attempts before poison quarantine (default 3)
-  --backoff-ms N        base retry backoff in ms (default 10)
-  --job-delay-ms N      debug: sleep per job, for kill-timing tests
-  --queue-limit N       bounded admission queue; beyond it submissions
-                        are shed with a queue-full response (default 64)
-  --deadline-ms N       per-attempt deadline; an overrunning attempt is
-                        abandoned and journaled timed-out (default: none)
-  --poll-ms N           spool scan interval in ms (default 2)
-  --trace PATH          replay a recorded arrival trace into the spool
-                        (open-loop), then quiesce once it is drained
-  --once                quiesce mode: exit once the spool is empty and
-                        all admitted work is done (implied by --trace)
-  --export PATH         write the deterministic binary export
-  --resume              resume from the journal (fresh start if missing)
-  --help                print this help and exit
-debug fault injections (for the crash-resume test harness):
-  --abort-after-records N   abort once N records are journaled (exit 3)
-  --crash-mid-intake N      die between spool-accept and journal-append
-                            of intake ordinal N (exit 3)
-  --torn-spool N            tear trace event ordinal N mid-submission
-  --stall-job J@A:MS        stall job J for MS ms on its first A attempts
-exit codes:
-  0  drained or quiesced cleanly, no poisoned jobs
-  2  usage error (unknown flag, malformed value)
-  3  campaign error (I/O, corrupt journal, injected crash)
-  4  completed, but some jobs are poison-quarantined";
 
 /// SIGTERM/SIGINT flag, set from the signal handler.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -119,109 +70,27 @@ mod sig {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(usage) => {
-            eprintln!("campaign_daemon: {}: {}", usage.flag, usage.reason);
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    CAMPAIGN_DAEMON.main(run)
 }
 
-/// Returns the value of `--flag value`, if present.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+fn run(args: &Args) -> Result<ExitCode, UsageError> {
+    let spool_dir = PathBuf::from(args.required("--spool")?);
+    let journal = PathBuf::from(args.required("--journal")?);
+    let export_path = args.value("--export").map(PathBuf::from);
+    let trace_path = args.value("--trace").map(PathBuf::from);
 
-/// `true` when the bare flag is present.
-fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Parses `--flag` as `T`, with a typed error naming the flag.
-fn parse_arg<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, UsageError> {
-    match arg_value(args, flag) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| UsageError::new(flag, format!("cannot parse \"{raw}\""))),
-    }
-}
-
-fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    if arg_present(args, "--help") {
-        println!("{USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    for (index, arg) in args.iter().enumerate() {
-        if arg.starts_with("--") {
-            let known = [
-                "--spool",
-                "--journal",
-                "--threads",
-                "--max-attempts",
-                "--backoff-ms",
-                "--job-delay-ms",
-                "--queue-limit",
-                "--deadline-ms",
-                "--poll-ms",
-                "--trace",
-                "--once",
-                "--export",
-                "--resume",
-                "--help",
-                "--abort-after-records",
-                "--crash-mid-intake",
-                "--torn-spool",
-                "--stall-job",
-            ];
-            if !known.contains(&arg.as_str()) {
-                return Err(UsageError::new(arg, "unknown flag"));
-            }
-        } else if index == 0 {
-            return Err(UsageError::new(arg, "expected a --flag"));
-        }
-    }
-
-    let spool_dir = PathBuf::from(
-        arg_value(args, "--spool")
-            .ok_or_else(|| UsageError::new("--spool", "required flag missing"))?,
-    );
-    let journal = PathBuf::from(
-        arg_value(args, "--journal")
-            .ok_or_else(|| UsageError::new("--journal", "required flag missing"))?,
-    );
-    let export_path = arg_value(args, "--export").map(PathBuf::from);
-    let trace_path = arg_value(args, "--trace").map(PathBuf::from);
-
-    let mut injections = Vec::new();
-    if let Some(count) = arg_value(args, "--abort-after-records") {
-        let count = count
-            .parse()
-            .map_err(|_| UsageError::new("--abort-after-records", "cannot parse count"))?;
-        injections.push(Injection::AbortAfterRecords { count });
-    }
-    if let Some(submission) = arg_value(args, "--crash-mid-intake") {
-        let submission = submission
-            .parse()
-            .map_err(|_| UsageError::new("--crash-mid-intake", "cannot parse ordinal"))?;
-        injections.push(Injection::CrashMidIntake { submission });
-    }
-    if let Some(submission) = arg_value(args, "--torn-spool") {
-        let submission = submission
-            .parse()
-            .map_err(|_| UsageError::new("--torn-spool", "cannot parse ordinal"))?;
-        injections.push(Injection::TornSpoolWrite { submission });
-    }
-    if let Some(raw) = arg_value(args, "--stall-job") {
+    let mut injections: Vec<Injection> = [
+        args.parse_opt("--abort-after-records")?
+            .map(|count| Injection::AbortAfterRecords { count }),
+        args.parse_opt("--crash-mid-intake")?
+            .map(|submission| Injection::CrashMidIntake { submission }),
+        args.parse_opt("--torn-spool")?
+            .map(|submission| Injection::TornSpoolWrite { submission }),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    if let Some(raw) = args.value("--stall-job") {
         // J@A:MS — job J stalls MS milliseconds on its first A attempts.
         let parsed = raw.split_once('@').and_then(|(job, rest)| {
             let (attempts, delay) = rest.split_once(':')?;
@@ -240,42 +109,21 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let quiesce = Arc::new(AtomicBool::new(false));
     let options = DaemonOptions {
-        threads: parse_arg(args, "--threads", DaemonOptions::default().threads)?,
-        max_attempts: {
-            let attempts: u8 = parse_arg(args, "--max-attempts", 3u8)?;
-            if attempts == 0 {
-                return Err(UsageError::new("--max-attempts", "must be at least 1"));
-            }
-            attempts
-        },
-        backoff: Duration::from_millis(parse_arg(args, "--backoff-ms", 10u64)?),
-        resume: arg_present(args, "--resume"),
-        job_delay: Duration::from_millis(parse_arg(args, "--job-delay-ms", 0u64)?),
-        queue_limit: {
-            let limit: usize = parse_arg(args, "--queue-limit", 64usize)?;
-            if limit == 0 {
-                return Err(UsageError::new("--queue-limit", "must be at least 1"));
-            }
-            limit
-        },
-        deadline: arg_value(args, "--deadline-ms")
-            .map(|raw| {
-                raw.parse::<u64>().map(Duration::from_millis).map_err(|_| {
-                    UsageError::new("--deadline-ms", format!("cannot parse \"{raw}\""))
-                })
-            })
-            .transpose()?,
-        poll_interval: Duration::from_millis(parse_arg(args, "--poll-ms", 2u64)?),
+        threads: args.parse("--threads", DaemonOptions::default().threads)?,
+        max_attempts: args.parse_count("--max-attempts", 3)?,
+        backoff: Duration::from_millis(args.parse("--backoff-ms", 10)?),
+        resume: args.has("--resume"),
+        job_delay: Duration::from_millis(args.parse("--job-delay-ms", 0)?),
+        queue_limit: args.parse_count("--queue-limit", 64)?,
+        deadline: args.parse_opt("--deadline-ms")?.map(Duration::from_millis),
+        poll_interval: Duration::from_millis(args.parse("--poll-ms", 2)?),
         shutdown: Arc::clone(&shutdown),
         quiesce: Arc::clone(&quiesce),
     };
 
     let spool = match SpoolDir::open(&spool_dir) {
         Ok(spool) => spool,
-        Err(error) => {
-            eprintln!("campaign_daemon: {error}");
-            return Ok(ExitCode::from(3));
-        }
+        Err(error) => return Ok(CAMPAIGN_DAEMON.failed(error)),
     };
 
     sig::install();
@@ -310,7 +158,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
             result
         })
     });
-    if replay.is_none() && arg_present(args, "--once") {
+    if replay.is_none() && args.has("--once") {
         quiesce.store(true, Ordering::SeqCst);
     }
 
@@ -320,26 +168,16 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     if let Some(handle) = replay {
         match handle.join() {
             Ok(Ok(_)) => {}
-            Ok(Err(error)) => {
-                eprintln!("campaign_daemon: trace replay: {error}");
-                return Ok(ExitCode::from(3));
-            }
-            Err(_) => {
-                eprintln!("campaign_daemon: trace replay thread panicked");
-                return Ok(ExitCode::from(3));
-            }
+            Ok(Err(error)) => return Ok(CAMPAIGN_DAEMON.failed(format!("trace replay: {error}"))),
+            Err(_) => return Ok(CAMPAIGN_DAEMON.failed("trace replay thread panicked")),
         }
     }
 
-    match outcome {
-        Ok(summary) => {
-            if let Some(path) = &export_path {
-                if let Err(error) = summary.export.write(path) {
-                    eprintln!("campaign_daemon: {error}");
-                    return Ok(ExitCode::from(3));
-                }
-            }
-            println!(
+    Ok(match outcome {
+        Ok(summary) => CAMPAIGN_DAEMON.finished(
+            &summary.export,
+            export_path.as_deref(),
+            &format!(
                 "daemon: {} jobs ({} accepted, {} duplicate, {} shed, {} rejected, \
                  {} timed-out attempts, {} executed, {} resumed, {} retries, {} poisoned){}",
                 summary.plan.len(),
@@ -353,19 +191,9 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
                 summary.retries,
                 summary.poisoned.len(),
                 if summary.drained { ", drained" } else { "" }
-            );
-            if summary.poisoned.is_empty() {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                for job in &summary.poisoned {
-                    eprintln!("campaign_daemon: job {job} is poison-quarantined");
-                }
-                Ok(ExitCode::from(4))
-            }
-        }
-        Err(error) => {
-            eprintln!("campaign_daemon: {error}");
-            Ok(ExitCode::from(3))
-        }
-    }
+            ),
+            &summary.poisoned,
+        ),
+        Err(error) => CAMPAIGN_DAEMON.failed(error),
+    })
 }

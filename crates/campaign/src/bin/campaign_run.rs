@@ -11,115 +11,33 @@
 //! campaign_run --journal camp.journal ... --resume   # after a crash
 //! ```
 //!
-//! Exit codes are distinct per failure class so scripts (and the CI
-//! kill-and-resume smoke job) can tell them apart:
-//!
-//! * `0` — campaign completed, no poisoned jobs
-//! * `2` — usage error (unknown flag, malformed value)
-//! * `3` — campaign error (I/O, corrupt journal, plan mismatch)
-//! * `4` — campaign completed but some jobs are poison-quarantined
+//! The flags, the `--help` text and the exit codes — distinct per
+//! failure class, so scripts (and the CI kill-and-resume smoke job) can
+//! tell them apart — all come from [`campaign::cli::CAMPAIGN_RUN`].
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use campaign::cli::{parse_size_list, Args, UsageError, CAMPAIGN_RUN};
 use campaign::runner::{run_campaign, CampaignOptions};
 use campaign::spec::{CampaignPlan, PopulationSpec};
 use campaign::{FaultInjector, Injection, Shard};
 use march_test::coverage::SweepBackend;
 use march_test::library::table1_algorithms;
 
-/// A malformed command line: the offending flag and why.
-#[derive(Debug)]
-struct UsageError {
-    flag: String,
-    reason: String,
-}
-
-impl UsageError {
-    fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
-
-const USAGE: &str = "usage: campaign_run --journal PATH [options]
-  --journal PATH        journal file (required)
-  --organization RxC    array organization (default 64x64)
-  --seeds A,B,...       population seeds (default 1)
-  --algorithms A,B,...  March algorithms (default: the paper's Table 1 five)
-  --orders A,B,...      address orders (default \"word line after word line\")
-  --backgrounds 0,1     initial cell values (default 0)
-  --population SPEC     standard | mixed:N | dense:N (default mixed:256)
-  --backend NAME        lane | list-order | per-fault (default lane)
-  --shard K/N           0-based shard of the plan (default 0/1)
-  --threads N           worker threads (default: all cores)
-  --max-attempts N      attempts before poison quarantine (default 3)
-  --backoff-ms N        base retry backoff in ms (default 10)
-  --job-delay-ms N      debug: sleep per job, for kill-timing tests
-  --export PATH         write the deterministic binary export
-  --heartbeat PATH      write a heartbeat sidecar after each journaled job
-  --resume              resume from the journal (fresh start if missing)
-  --list                print the plan and exit
-  --help                print this help and exit
-debug fault injections (for the supervisor test harness):
-  --abort-after-records N      abort once N records are journaled (exit 3)
-  --stall-heartbeat-after N    stop heartbeating after N jobs, keep working
-  --wedge-after N              hang forever once N jobs are done
-exit codes:
-  0  campaign completed, no poisoned jobs
-  2  usage error (unknown flag, malformed value)
-  3  campaign error (I/O, corrupt journal, plan mismatch)
-  4  campaign completed but some jobs are poison-quarantined";
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(usage) => {
-            eprintln!("campaign_run: {}: {}", usage.flag, usage.reason);
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Returns the value of `--flag value`, if present.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// `true` when the bare flag is present.
-fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Parses `--flag` as `T`, with a typed error naming the flag.
-fn parse_arg<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, UsageError> {
-    match arg_value(args, flag) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| UsageError::new(flag, format!("cannot parse \"{raw}\""))),
-    }
+    CAMPAIGN_RUN.main(run)
 }
 
 /// Parses a comma-separated list with `parse_item`, with typed errors.
 fn parse_list<T>(
-    args: &[String],
+    args: &Args,
     flag: &str,
     default: Vec<T>,
     parse_item: impl Fn(&str) -> Option<T>,
 ) -> Result<Vec<T>, UsageError> {
-    let Some(raw) = arg_value(args, flag) else {
+    let Some(raw) = args.value(flag) else {
         return Ok(default);
     };
     let items: Vec<T> = raw
@@ -136,54 +54,14 @@ fn parse_list<T>(
     Ok(items)
 }
 
-fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    if arg_present(args, "--help") {
-        println!("{USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    for (index, arg) in args.iter().enumerate() {
-        if arg.starts_with("--") {
-            let known = [
-                "--journal",
-                "--organization",
-                "--seeds",
-                "--algorithms",
-                "--orders",
-                "--backgrounds",
-                "--population",
-                "--backend",
-                "--shard",
-                "--threads",
-                "--max-attempts",
-                "--backoff-ms",
-                "--job-delay-ms",
-                "--export",
-                "--heartbeat",
-                "--resume",
-                "--list",
-                "--help",
-                "--abort-after-records",
-                "--stall-heartbeat-after",
-                "--wedge-after",
-            ];
-            if !known.contains(&arg.as_str()) {
-                return Err(UsageError::new(arg, "unknown flag"));
-            }
-        } else if index == 0 {
-            return Err(UsageError::new(arg, "expected a --flag"));
-        }
-    }
-
-    let organization = arg_value(args, "--organization").unwrap_or_else(|| "64x64".to_string());
-    let (rows, cols) = organization
-        .split_once('x')
-        .and_then(|(r, c)| Some((r.trim().parse::<u32>().ok()?, c.trim().parse::<u32>().ok()?)))
-        .ok_or_else(|| {
-            UsageError::new(
-                "--organization",
-                format!("cannot parse \"{organization}\" (expected RxC)"),
-            )
-        })?;
+fn run(args: &Args) -> Result<ExitCode, UsageError> {
+    let (rows, cols) = match args.value("--organization") {
+        None => (64, 64),
+        Some(spec) => match parse_size_list(spec, "--organization")?[..] {
+            [size] => size,
+            _ => return Err(UsageError::new("--organization", "expected one RxC")),
+        },
+    };
     let seeds = parse_list(args, "--seeds", vec![1u64], |item| item.parse().ok())?;
     let default_algorithms: Vec<String> = table1_algorithms()
         .iter()
@@ -203,12 +81,12 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         "1" => Some(true),
         _ => None,
     })?;
-    let population = match arg_value(args, "--population") {
+    let population = match args.value("--population") {
         None => PopulationSpec::Mixed { count: 256 },
-        Some(raw) => PopulationSpec::parse(&raw)
+        Some(raw) => PopulationSpec::parse(raw)
             .ok_or_else(|| UsageError::new("--population", format!("cannot parse \"{raw}\"")))?,
     };
-    let backend = match arg_value(args, "--backend").as_deref() {
+    let backend = match args.value("--backend") {
         None | Some("lane") => SweepBackend::LaneBatched,
         Some("list-order") => SweepBackend::LaneBatchedListOrder,
         Some("per-fault") => SweepBackend::PerFault,
@@ -219,49 +97,32 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
             ));
         }
     };
-    let shard = match arg_value(args, "--shard") {
+    let shard = match args.value("--shard") {
         None => Shard::whole(),
         Some(raw) => {
-            Shard::parse(&raw).map_err(|error| UsageError::new("--shard", error.to_string()))?
+            Shard::parse(raw).map_err(|error| UsageError::new("--shard", error.to_string()))?
         }
     };
     let options = CampaignOptions {
-        threads: parse_arg(args, "--threads", CampaignOptions::default().threads)?,
-        max_attempts: {
-            let attempts: u8 = parse_arg(args, "--max-attempts", 3u8)?;
-            if attempts == 0 {
-                return Err(UsageError::new("--max-attempts", "must be at least 1"));
-            }
-            attempts
-        },
-        backoff: Duration::from_millis(parse_arg(args, "--backoff-ms", 10u64)?),
-        resume: arg_present(args, "--resume"),
-        job_delay: Duration::from_millis(parse_arg(args, "--job-delay-ms", 0u64)?),
-        heartbeat: arg_value(args, "--heartbeat").map(PathBuf::from),
+        threads: args.parse("--threads", CampaignOptions::default().threads)?,
+        max_attempts: args.parse_count("--max-attempts", 3)?,
+        backoff: Duration::from_millis(args.parse("--backoff-ms", 10)?),
+        resume: args.has("--resume"),
+        job_delay: Duration::from_millis(args.parse("--job-delay-ms", 0)?),
+        heartbeat: args.value("--heartbeat").map(PathBuf::from),
     };
 
     // Debug injections for the supervisor harness: deterministic crash,
     // silent-heartbeat and wedge behaviours, each armed by a flag.
-    let mut injections = Vec::new();
-    if let Some(count) = arg_value(args, "--abort-after-records") {
-        let count = count
-            .parse()
-            .map_err(|_| UsageError::new("--abort-after-records", "cannot parse count"))?;
-        injections.push(Injection::AbortAfterRecords { count });
-    }
-    if let Some(after_jobs) = arg_value(args, "--stall-heartbeat-after") {
-        let after_jobs = after_jobs
-            .parse()
-            .map_err(|_| UsageError::new("--stall-heartbeat-after", "cannot parse count"))?;
-        injections.push(Injection::StallHeartbeat { after_jobs });
-    }
-    if let Some(after_jobs) = arg_value(args, "--wedge-after") {
-        let after_jobs = after_jobs
-            .parse()
-            .map_err(|_| UsageError::new("--wedge-after", "cannot parse count"))?;
-        injections.push(Injection::WedgeProcess { after_jobs });
-    }
-    let injector = FaultInjector::new(injections);
+    let injections = [
+        args.parse_opt("--abort-after-records")?
+            .map(|count| Injection::AbortAfterRecords { count }),
+        args.parse_opt("--stall-heartbeat-after")?
+            .map(|after_jobs| Injection::StallHeartbeat { after_jobs }),
+        args.parse_opt("--wedge-after")?
+            .map(|after_jobs| Injection::WedgeProcess { after_jobs }),
+    ];
+    let injector = FaultInjector::new(injections.into_iter().flatten().collect());
 
     let plan = CampaignPlan::cross(
         rows,
@@ -274,7 +135,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         population,
     );
 
-    if arg_present(args, "--list") {
+    if args.has("--list") {
         println!(
             "plan: {} jobs, digest {:#018x}, shard {}/{} owns {}",
             plan.len(),
@@ -299,40 +160,25 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let journal = PathBuf::from(
-        arg_value(args, "--journal")
-            .ok_or_else(|| UsageError::new("--journal", "required flag missing"))?,
-    );
-    let export_path = arg_value(args, "--export").map(PathBuf::from);
+    let journal = PathBuf::from(args.required("--journal")?);
+    let export_path = args.value("--export").map(PathBuf::from);
 
-    match run_campaign(&plan, shard, &journal, &options, &injector) {
-        Ok(summary) => {
-            if let Some(path) = &export_path {
-                if let Err(error) = summary.export.write(path) {
-                    eprintln!("campaign_run: {error}");
-                    return Ok(ExitCode::from(3));
-                }
-            }
-            println!(
-                "campaign: {} jobs ({} executed, {} resumed, {} retries, {} poisoned)",
-                summary.export.outcomes.len(),
-                summary.executed,
-                summary.skipped,
-                summary.retries,
-                summary.poisoned.len()
-            );
-            if summary.poisoned.is_empty() {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                for job in &summary.poisoned {
-                    eprintln!("campaign_run: job {job} is poison-quarantined");
-                }
-                Ok(ExitCode::from(4))
-            }
-        }
-        Err(error) => {
-            eprintln!("campaign_run: {error}");
-            Ok(ExitCode::from(3))
-        }
-    }
+    Ok(
+        match run_campaign(&plan, shard, &journal, &options, &injector) {
+            Ok(summary) => CAMPAIGN_RUN.finished(
+                &summary.export,
+                export_path.as_deref(),
+                &format!(
+                    "campaign: {} jobs ({} executed, {} resumed, {} retries, {} poisoned)",
+                    summary.export.outcomes.len(),
+                    summary.executed,
+                    summary.skipped,
+                    summary.retries,
+                    summary.poisoned.len()
+                ),
+                &summary.poisoned,
+            ),
+            Err(error) => CAMPAIGN_RUN.failed(error),
+        },
+    )
 }

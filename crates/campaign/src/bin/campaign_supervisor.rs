@@ -12,122 +12,23 @@
 //!     --organization 64x64 --seeds 1,2,3,4 --population mixed:600
 //! ```
 //!
-//! Exit codes extend the `campaign_run` contract one level up:
-//!
-//! * `0` — every shard completed, no poisoned jobs
-//! * `2` — usage error
-//! * `3` — supervisor error (spawn failure, child usage error, I/O)
-//! * `4` — every shard completed but some jobs are poison-quarantined
-//! * `5` — degraded: shards were quarantined, the export is partial
+//! Exit codes extend the `campaign_run` contract one level up (`5` —
+//! degraded: shards were quarantined, the export is partial). The flags,
+//! the `--help` text and the exit-code table come from
+//! [`campaign::cli::CAMPAIGN_SUPERVISOR`]; the plan flags forwarded to
+//! every child are exactly `campaign_run`'s [`campaign::cli::PLAN`] and
+//! [`campaign::cli::WORKERS`] sections.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use campaign::cli::{Args, UsageError, CAMPAIGN_SUPERVISOR, PLAN, WORKERS};
 use campaign::supervise::{supervise, ShardCommand, ShardFate, SupervisorOptions};
 use campaign::{ProcessInjection, ProcessInjector};
 
-/// A malformed command line: the offending flag and why.
-#[derive(Debug)]
-struct UsageError {
-    flag: String,
-    reason: String,
-}
-
-impl UsageError {
-    fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
-
-const USAGE: &str = "usage: campaign_supervisor --shards N --dir PATH [options] [plan flags]
-  --shards N                shard processes to supervise (required)
-  --dir PATH                directory for per-shard journals, exports,
-                            heartbeats, the merged export and manifest
-  --export PATH             merged export path (default DIR/merged.bin)
-  --manifest PATH           manifest path (default DIR/manifest.txt)
-  --child PATH              campaign_run binary (default: sibling of this one)
-  --restart-budget N        restarts per shard before quarantine (default 3)
-  --restart-backoff-ms N    first restart delay (default 100, doubles per restart)
-  --restart-backoff-cap-ms N  upper bound on the restart delay (default 2000)
-  --poll-ms N               supervisor poll interval (default 25)
-  --stall-timeout-ms N      no-progress window before a child is declared
-                            wedged and SIGKILLed (default 10000)
-plan flags are passed through to every child: --organization --seeds
---algorithms --orders --backgrounds --population --backend --threads
---max-attempts --backoff-ms --job-delay-ms
-debug fault injections (for the kill-storm harness; repeatable):
-  --kill-shard K@BEATS      SIGKILL shard K's child at BEATS heartbeats
-  --stall-shard K@JOBS      shard K stops heartbeating after JOBS jobs
-                            (first launch only)
-  --wedge-shard K@JOBS      shard K hangs after JOBS jobs (first launch only)
-  --crash-shard K@RECORDS   shard K aborts after RECORDS journal records,
-                            on every launch (restart-budget exhaustion)
-exit codes:
-  0  every shard completed, no poisoned jobs
-  2  usage error (unknown flag, malformed value)
-  3  supervisor error (spawn failure, child usage error, I/O)
-  4  every shard completed but some jobs are poison-quarantined
-  5  degraded: shards were quarantined, the export is partial";
-
-/// Flags forwarded verbatim (with their value) to every child.
-const PLAN_FLAGS: [&str; 11] = [
-    "--organization",
-    "--seeds",
-    "--algorithms",
-    "--orders",
-    "--backgrounds",
-    "--population",
-    "--backend",
-    "--threads",
-    "--max-attempts",
-    "--backoff-ms",
-    "--job-delay-ms",
-];
-
-/// Flags the supervisor consumes itself, each taking one value.
-const SUPERVISOR_FLAGS: [&str; 9] = [
-    "--shards",
-    "--dir",
-    "--export",
-    "--manifest",
-    "--child",
-    "--restart-budget",
-    "--restart-backoff-ms",
-    "--restart-backoff-cap-ms",
-    "--poll-ms",
-];
-
-/// Injection flags, each taking one `K@N` value; repeatable.
-const INJECTION_FLAGS: [&str; 4] = [
-    "--kill-shard",
-    "--stall-shard",
-    "--wedge-shard",
-    "--crash-shard",
-];
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(usage) => {
-            eprintln!("campaign_supervisor: {}: {}", usage.flag, usage.reason);
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Parsed command line: the supervisor's own knobs, the pass-through
-/// plan flags, and the armed injections.
-struct Cli {
-    values: std::collections::HashMap<String, String>,
-    plan_args: Vec<String>,
-    injections: Vec<(String, u32, u64)>,
-    stall_timeout_ms: Option<u64>,
+    CAMPAIGN_SUPERVISOR.main(run)
 }
 
 /// Splits `K@N` into `(shard, threshold)`.
@@ -139,117 +40,50 @@ fn parse_at(flag: &str, raw: &str) -> Result<(u32, u64), UsageError> {
         .ok_or_else(|| UsageError::new(flag, format!("cannot parse \"{raw}\" (expected K@N)")))
 }
 
-fn parse_cli(args: &[String]) -> Result<Cli, UsageError> {
-    let mut cli = Cli {
-        values: std::collections::HashMap::new(),
-        plan_args: Vec::new(),
-        injections: Vec::new(),
-        stall_timeout_ms: None,
-    };
-    let mut index = 0;
-    while index < args.len() {
-        let arg = &args[index];
-        if !arg.starts_with("--") {
-            return Err(UsageError::new(arg, "expected a --flag"));
-        }
-        let value = |index: usize| -> Result<String, UsageError> {
-            args.get(index + 1)
-                .cloned()
-                .ok_or_else(|| UsageError::new(arg, "missing value"))
-        };
-        if arg == "--stall-timeout-ms" {
-            cli.stall_timeout_ms = Some(
-                value(index)?
-                    .parse()
-                    .map_err(|_| UsageError::new(arg, "cannot parse milliseconds"))?,
-            );
-            index += 2;
-        } else if SUPERVISOR_FLAGS.contains(&arg.as_str()) {
-            cli.values.insert(arg.clone(), value(index)?);
-            index += 2;
-        } else if INJECTION_FLAGS.contains(&arg.as_str()) {
-            let (shard, threshold) = parse_at(arg, &value(index)?)?;
-            cli.injections.push((arg.clone(), shard, threshold));
-            index += 2;
-        } else if PLAN_FLAGS.contains(&arg.as_str()) {
-            cli.plan_args.push(arg.clone());
-            cli.plan_args.push(value(index)?);
-            index += 2;
-        } else {
-            return Err(UsageError::new(arg, "unknown flag"));
-        }
+/// Builds the [`ProcessInjector`] from the repeatable injection flags.
+fn build_injector(args: &Args) -> Result<ProcessInjector, UsageError> {
+    let mut kills = Vec::new();
+    for raw in args.values("--kill-shard") {
+        let (shard, after_beats) = parse_at("--kill-shard", raw)?;
+        kills.push(ProcessInjection::KillChild { shard, after_beats });
     }
-    Ok(cli)
-}
-
-/// Builds the [`ProcessInjector`] from the parsed injection flags.
-fn build_injector(injections: &[(String, u32, u64)]) -> ProcessInjector {
-    let kills = injections
-        .iter()
-        .filter(|(flag, _, _)| flag == "--kill-shard")
-        .map(|(_, shard, after_beats)| ProcessInjection::KillChild {
-            shard: *shard,
-            after_beats: *after_beats,
-        })
-        .collect();
     let mut injector = ProcessInjector::new(kills);
-    for (flag, shard, threshold) in injections {
-        let threshold = threshold.to_string();
-        injector = match flag.as_str() {
-            "--stall-shard" => {
-                injector.with_first_launch_args(*shard, &["--stall-heartbeat-after", &threshold])
-            }
-            "--wedge-shard" => {
-                injector.with_first_launch_args(*shard, &["--wedge-after", &threshold])
-            }
-            "--crash-shard" => {
-                injector.with_every_launch_args(*shard, &["--abort-after-records", &threshold])
-            }
-            _ => injector,
-        };
+    for (flag, child_flag, every_launch) in [
+        ("--stall-shard", "--stall-heartbeat-after", false),
+        ("--wedge-shard", "--wedge-after", false),
+        ("--crash-shard", "--abort-after-records", true),
+    ] {
+        for raw in args.values(flag) {
+            let (shard, threshold) = parse_at(flag, raw)?;
+            let child_args = [child_flag, &threshold.to_string()];
+            injector = if every_launch {
+                injector.with_every_launch_args(shard, &child_args)
+            } else {
+                injector.with_first_launch_args(shard, &child_args)
+            };
+        }
     }
-    injector
+    Ok(injector)
 }
 
-fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    if args.iter().any(|a| a == "--help") {
-        println!("{USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let cli = parse_cli(args)?;
-    let parse = |flag: &str, default: u64| -> Result<u64, UsageError> {
-        match cli.values.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| UsageError::new(flag, format!("cannot parse \"{raw}\""))),
-        }
-    };
+fn run(args: &Args) -> Result<ExitCode, UsageError> {
+    let shards = args.parse_count("--shards", 0)?;
+    let dir = PathBuf::from(args.required("--dir")?);
 
-    let shards = parse("--shards", 0)?;
-    if shards == 0 {
-        return Err(UsageError::new("--shards", "required, and at least 1"));
-    }
-    let dir = cli
-        .values
-        .get("--dir")
-        .map(PathBuf::from)
-        .ok_or_else(|| UsageError::new("--dir", "required flag missing"))?;
-
-    let mut options = SupervisorOptions::in_dir(dir, shards as u32);
-    if let Some(path) = cli.values.get("--export") {
+    let mut options = SupervisorOptions::in_dir(dir, shards);
+    if let Some(path) = args.value("--export") {
         options.merged_export = PathBuf::from(path);
     }
-    if let Some(path) = cli.values.get("--manifest") {
+    if let Some(path) = args.value("--manifest") {
         options.manifest = PathBuf::from(path);
     }
-    options.restart_budget = parse("--restart-budget", 3)? as u32;
-    options.backoff_base = Duration::from_millis(parse("--restart-backoff-ms", 100)?);
-    options.backoff_cap = Duration::from_millis(parse("--restart-backoff-cap-ms", 2000)?);
-    options.poll_interval = Duration::from_millis(parse("--poll-ms", 25)?);
-    options.stall_timeout = Duration::from_millis(cli.stall_timeout_ms.unwrap_or(10_000));
+    options.restart_budget = args.parse("--restart-budget", 3)?;
+    options.backoff_base = Duration::from_millis(args.parse("--restart-backoff-ms", 100)?);
+    options.backoff_cap = Duration::from_millis(args.parse("--restart-backoff-cap-ms", 2000)?);
+    options.poll_interval = Duration::from_millis(args.parse("--poll-ms", 25)?);
+    options.stall_timeout = Duration::from_millis(args.parse("--stall-timeout-ms", 10_000)?);
 
-    let program = match cli.values.get("--child") {
+    let program = match args.value("--child") {
         Some(path) => PathBuf::from(path),
         None => default_child_path().ok_or_else(|| {
             UsageError::new("--child", "cannot locate campaign_run next to this binary")
@@ -257,9 +91,9 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     };
     let command = ShardCommand {
         program,
-        plan_args: cli.plan_args,
+        plan_args: args.forwarded(&[&PLAN, &WORKERS]),
     };
-    let injector = build_injector(&cli.injections);
+    let injector = build_injector(args)?;
 
     match supervise(&command, &options, &injector) {
         Ok(report) => {
@@ -308,10 +142,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
                 Ok(ExitCode::SUCCESS)
             }
         }
-        Err(error) => {
-            eprintln!("campaign_supervisor: {error}");
-            Ok(ExitCode::from(3))
-        }
+        Err(error) => Ok(CAMPAIGN_SUPERVISOR.failed(error)),
     }
 }
 

@@ -14,10 +14,12 @@
 //! * [`shard`] — round-robin shard planning: `index/count` splits one
 //!   plan across independent processes, each with its own journal and
 //!   partial export; [`output::merge_exports`] recombines them.
-//! * [`runner`] — the panic-isolated worker pool: every job attempt runs
-//!   inside `catch_unwind`, failures are journaled and retried with
-//!   bounded backoff, and jobs that exhaust their attempts are
-//!   quarantined as *poison* with the panic payload recorded.
+//! * [`runner`] — [`run_campaign`]: one shard of a static plan over a v1
+//!   journal, driving the crate's one execution engine — a
+//!   panic-isolated worker pool in which every job attempt runs inside
+//!   `catch_unwind`, failures are journaled and retried with bounded
+//!   backoff, and jobs that exhaust their attempts are quarantined as
+//!   *poison* with the panic payload recorded.
 //! * [`journal`] — the append-only binary journal: fixed-width 64-byte
 //!   records, per-record FNV-1a checksum, no serde (the build is
 //!   offline). Resume replays the journal, truncates any torn or corrupt
@@ -42,17 +44,25 @@
 //!   an unbounded queue.
 //! * [`trace`] — recorded arrival traces and their open-loop replay, the
 //!   overload harness.
-//! * [`daemon`] — the intake loop itself: journal v2 dynamic-plan
-//!   appends, bounded admission, per-job deadlines that journal a
-//!   `timed-out` fate, SIGTERM graceful drain, SIGKILL crash-resume.
+//! * [`daemon`] — [`run_daemon`]: spool intake in front of the same
+//!   engine — journal v2 dynamic-plan appends, bounded admission,
+//!   per-attempt deadlines that journal a `timed-out` fate, SIGTERM
+//!   graceful drain, SIGKILL crash-resume.
 //!
-//! The `campaign_run` and `campaign_daemon` binaries drive all of this
-//! from the command line; see `crates/campaign/README.md` for the journal
-//! wire format, resume semantics and the poison-quarantine policy.
+//! Static and daemon runs share one engine (job table, queue, journal
+//! replay seeding, attempt loop, export assembly), so the two differ only
+//! in how jobs arrive; the daemon == static byte-identity suites pin
+//! that. The `campaign_run`, `campaign_daemon` and
+//! `campaign_supervisor` binaries drive all of this from the command
+//! line; their flags, `--help` text and exit codes come from the tables
+//! in [`cli`]. See `crates/campaign/README.md` for the journal wire
+//! format, resume semantics and the poison-quarantine policy.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod daemon;
+mod engine;
 pub mod error;
 pub mod faultpoint;
 pub mod heartbeat;

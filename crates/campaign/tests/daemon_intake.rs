@@ -15,7 +15,7 @@ use campaign::daemon::{run_daemon, DaemonOptions};
 use campaign::runner::{run_campaign, CampaignOptions};
 use campaign::spec::{CampaignPlan, JobSpec, PopulationSpec};
 use campaign::spool::{SpoolDir, SpoolResponse};
-use campaign::{CampaignError, FaultInjector, Injection, JobStatus, Shard};
+use campaign::{CampaignError, FaultInjector, Injection, JobStatus, Journal, Replay, Shard};
 use march_test::coverage::SweepBackend;
 
 /// A unique temp path per call, so parallel tests never collide.
@@ -66,6 +66,16 @@ fn spool_all(spool: &SpoolDir, specs: &[JobSpec]) {
 
 /// The equivalent static campaign's export bytes.
 fn static_export(specs: &[JobSpec], threads: usize, tag: &str) -> Vec<u8> {
+    static_export_with(specs, threads, tag, &FaultInjector::none())
+}
+
+/// [`static_export`] under armed injections.
+fn static_export_with(
+    specs: &[JobSpec],
+    threads: usize,
+    tag: &str,
+    injector: &FaultInjector,
+) -> Vec<u8> {
     let journal = temp_path(tag);
     let plan = CampaignPlan::new(specs.to_vec());
     let summary = run_campaign(
@@ -77,7 +87,7 @@ fn static_export(specs: &[JobSpec], threads: usize, tag: &str) -> Vec<u8> {
             backoff: Duration::ZERO,
             ..CampaignOptions::default()
         },
-        &FaultInjector::none(),
+        injector,
     )
     .expect("static run");
     std::fs::remove_file(&journal).ok();
@@ -87,35 +97,145 @@ fn static_export(specs: &[JobSpec], threads: usize, tag: &str) -> Vec<u8> {
 #[test]
 fn daemon_export_matches_the_equivalent_static_plan_byte_for_byte() {
     let specs = jobs(6);
-    for threads in [1, 4] {
-        let dir = temp_path("equiv-spool");
-        let journal = temp_path("equiv");
-        let spool = SpoolDir::open(&dir).expect("spool");
-        spool_all(&spool, &specs);
-        let summary = run_daemon(
-            &spool,
-            &journal,
-            &quiesce_options(threads),
-            &FaultInjector::none(),
-        )
-        .expect("daemon run");
-        assert_eq!(summary.accepted, 6);
-        assert_eq!(summary.shed + summary.rejected + summary.duplicates, 0);
-        assert_eq!(
-            summary.export.to_bytes(),
-            static_export(&specs, threads, "equiv-static"),
-            "daemon export must equal the static plan's at {threads} threads"
-        );
-        // Every submission got an explicit accepted response.
-        for index in 0..specs.len() {
+    // A clean input, and one where job 2 dies on every attempt and is
+    // quarantined as poison.
+    let inputs = [
+        (FaultInjector::none(), vec![]),
+        (
+            FaultInjector::new(vec![Injection::KillWorker {
+                job: 2,
+                attempts: u8::MAX,
+            }]),
+            vec![2],
+        ),
+    ];
+    for (injector, poisoned) in &inputs {
+        for threads in [1, 4] {
+            let dir = temp_path("equiv-spool");
+            let journal = temp_path("equiv");
+            let spool = SpoolDir::open(&dir).expect("spool");
+            spool_all(&spool, &specs);
+            let summary = run_daemon(&spool, &journal, &quiesce_options(threads), injector)
+                .expect("daemon run");
+            assert_eq!(summary.accepted, 6);
+            assert_eq!(summary.shed + summary.rejected + summary.duplicates, 0);
+            assert_eq!(&summary.poisoned, poisoned);
             assert_eq!(
-                spool.read_response(&format!("j{index:04}")),
-                Some(SpoolResponse::Accepted { job: index as u32 })
+                summary.export.to_bytes(),
+                static_export_with(&specs, threads, "equiv-static", injector),
+                "daemon export must equal the static plan's at {threads} threads"
             );
+            // Every submission got an explicit accepted response.
+            for index in 0..specs.len() {
+                assert_eq!(
+                    spool.read_response(&format!("j{index:04}")),
+                    Some(SpoolResponse::Accepted { job: index as u32 })
+                );
+            }
+            std::fs::remove_file(&journal).ok();
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_file(&journal).ok();
-        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The replay seeding both front ends share: a job whose journal already
+/// holds every attempt the resumed run allows is quarantined while the
+/// run is seeded — a `Poisoned` record appended, nothing re-executed —
+/// through `run_campaign` on a v1 journal and `run_daemon` on a v2
+/// journal alike, with byte-identical exports.
+#[test]
+fn exhausted_attempts_quarantine_at_seeding_in_both_journal_versions() {
+    let specs = jobs(3);
+    // Job 0 dies on every attempt. One worker, three attempts allowed:
+    // job 0 fails, jobs 1 and 2 complete, job 0 fails again, and the run
+    // dies right after that fourth outcome record (the v2 journal holds
+    // three JobAdded records first).
+    let crash = |outcome_records: u64, admitted: u64| {
+        FaultInjector::new(vec![
+            Injection::KillWorker {
+                job: 0,
+                attempts: u8::MAX,
+            },
+            Injection::AbortAfterRecords {
+                count: admitted + outcome_records,
+            },
+        ])
+    };
+    let check_seeded = |before: &Replay, after: &Replay| {
+        assert_eq!(
+            before.failed_attempts.get(&0).map(|(used, _)| *used),
+            Some(2)
+        );
+        assert!(before.poisoned.is_empty());
+        assert_eq!(after.records, before.records + 1, "one Poisoned record");
+        assert!(after.poisoned.contains_key(&0));
+    };
+
+    // v1: run_campaign.
+    let journal = temp_path("seed-static");
+    let plan = CampaignPlan::new(specs.clone());
+    let options = |max_attempts, resume| CampaignOptions {
+        threads: 1,
+        max_attempts,
+        backoff: Duration::ZERO,
+        resume,
+        ..CampaignOptions::default()
+    };
+    let first = run_campaign(
+        &plan,
+        Shard::whole(),
+        &journal,
+        &options(3, false),
+        &crash(4, 0),
+    );
+    assert!(
+        matches!(first, Err(CampaignError::Injected { .. })),
+        "{first:?}"
+    );
+    let replay_v1 = |path| {
+        Journal::open_resume(path, 3, plan.digest())
+            .expect("v1 replay")
+            .1
+    };
+    let before = replay_v1(&journal);
+    let summary = run_campaign(
+        &plan,
+        Shard::whole(),
+        &journal,
+        &options(2, true),
+        &FaultInjector::none(),
+    )
+    .expect("v1 resume");
+    assert_eq!(summary.poisoned, vec![0]);
+    assert_eq!((summary.executed, summary.skipped), (0, 2));
+    check_seeded(&before, &replay_v1(&journal));
+    std::fs::remove_file(&journal).ok();
+
+    // v2: run_daemon.
+    let dir = temp_path("seed-spool");
+    let journal = temp_path("seed-daemon");
+    let spool = SpoolDir::open(&dir).expect("spool");
+    spool_all(&spool, &specs);
+    let first = run_daemon(&spool, &journal, &quiesce_options(1), &crash(4, 3));
+    assert!(
+        matches!(first, Err(CampaignError::Injected { .. })),
+        "{first:?}"
+    );
+    let replay_v2 = |path| Journal::open_resume_dynamic(path).expect("v2 replay").1;
+    let before_v2 = replay_v2(&journal);
+    let resumed_options = DaemonOptions {
+        max_attempts: 2,
+        resume: true,
+        ..quiesce_options(1)
+    };
+    let resumed =
+        run_daemon(&spool, &journal, &resumed_options, &FaultInjector::none()).expect("v2 resume");
+    assert_eq!(resumed.poisoned, vec![0]);
+    assert_eq!((resumed.executed, resumed.skipped), (0, 2));
+    check_seeded(&before_v2, &replay_v2(&journal));
+    assert_eq!(resumed.export.to_bytes(), summary.export.to_bytes());
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! power sessions, campaign jobs — is wrapped in a [`WorkItem`] before it
 //! reaches the pool. The pool itself never looks inside: it dispatches
 //! every item through the one [`WorkItem::execute`] entry point with the
-//! claiming worker's [`WorkerScratch`], and only reads the variant tag to
-//! account for what ran where ([`crate::PoolStats`]).
+//! claiming worker's [`WorkerScratch`]; the variant tag records which
+//! run type an item belongs to.
 
 use crate::scratch::WorkerScratch;
 

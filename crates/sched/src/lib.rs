@@ -31,5 +31,5 @@ mod pool;
 mod scratch;
 
 pub use item::{Task, WorkItem, WorkKind};
-pub use pool::{map_chunks, run_pool, Poll, PoolStats};
+pub use pool::{map_chunks, run_pool, Poll};
 pub use scratch::WorkerScratch;

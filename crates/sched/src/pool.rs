@@ -19,7 +19,7 @@
 //! travel through what the items captured, so the pool stays free of
 //! result types, `unsafe`, and locks of its own.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 use std::time::Duration;
@@ -39,62 +39,14 @@ pub enum Poll<'a> {
     Done,
 }
 
-/// What ran through one [`run_pool`] call, by run type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Workers the pool ran with.
-    pub workers: usize,
-    /// [`WorkKind::FaultSweep`] items executed.
-    pub fault_sweeps: u64,
-    /// [`WorkKind::PowerSession`] items executed.
-    pub power_sessions: u64,
-    /// [`WorkKind::CampaignJob`] items executed.
-    pub campaign_jobs: u64,
-}
-
-impl PoolStats {
-    /// Total items executed, across all run types.
-    pub fn total(&self) -> u64 {
-        self.fault_sweeps + self.power_sessions + self.campaign_jobs
-    }
-}
-
 /// How long an idle worker sleeps between [`Poll::Pending`] polls.
 const IDLE_BACKOFF: Duration = Duration::from_millis(1);
 
-struct KindCounters {
-    fault_sweeps: AtomicU64,
-    power_sessions: AtomicU64,
-    campaign_jobs: AtomicU64,
-}
-
-impl KindCounters {
-    fn new() -> Self {
-        Self {
-            fault_sweeps: AtomicU64::new(0),
-            power_sessions: AtomicU64::new(0),
-            campaign_jobs: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, kind: WorkKind) {
-        let counter = match kind {
-            WorkKind::FaultSweep => &self.fault_sweeps,
-            WorkKind::PowerSession => &self.power_sessions,
-            WorkKind::CampaignJob => &self.campaign_jobs,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Poll<'a> + Sync), counters: &KindCounters) {
+fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Poll<'a> + Sync)) {
     let mut scratch = WorkerScratch::new();
     loop {
         match next(worker) {
-            Poll::Item(item) => {
-                counters.record(item.kind());
-                item.execute(&mut scratch);
-            }
+            Poll::Item(item) => item.execute(&mut scratch),
             Poll::Pending => thread::sleep(IDLE_BACKOFF),
             Poll::Done => break,
         }
@@ -119,28 +71,20 @@ fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Poll<'a> + Sync), counters
 /// Panics if a worker panics (the scope propagates it). Producers that
 /// must survive item panics catch them inside the item's closure, as the
 /// campaign runner does.
-pub fn run_pool<'a, F>(threads: usize, next: F) -> PoolStats
+pub fn run_pool<'a, F>(threads: usize, next: F)
 where
     F: Fn(usize) -> Poll<'a> + Sync,
 {
     let workers = threads.max(1);
-    let counters = KindCounters::new();
     if workers == 1 {
-        drain(0, &next, &counters);
+        drain(0, &next);
     } else {
         thread::scope(|scope| {
             for worker in 0..workers {
                 let next = &next;
-                let counters = &counters;
-                scope.spawn(move || drain(worker, next, counters));
+                scope.spawn(move || drain(worker, next));
             }
         });
-    }
-    PoolStats {
-        workers,
-        fault_sweeps: counters.fault_sweeps.into_inner(),
-        power_sessions: counters.power_sessions.into_inner(),
-        campaign_jobs: counters.campaign_jobs.into_inner(),
     }
 }
 
@@ -280,25 +224,6 @@ mod tests {
         });
         // One worker degenerates to a single whole-slice chunk.
         assert_eq!(out, vec![40]);
-    }
-
-    #[test]
-    fn run_pool_counts_items_by_kind() {
-        let produced = AtomicUsize::new(0);
-        let stats = run_pool(2, |_| {
-            let index = produced.fetch_add(1, Ordering::Relaxed);
-            match index {
-                0..=4 => Poll::Item(WorkItem::fault_sweep(|_| {})),
-                5..=6 => Poll::Item(WorkItem::power_session(|_| {})),
-                7 => Poll::Item(WorkItem::campaign_job(|_| {})),
-                _ => Poll::Done,
-            }
-        });
-        assert_eq!(stats.workers, 2);
-        assert_eq!(stats.fault_sweeps, 5);
-        assert_eq!(stats.power_sessions, 2);
-        assert_eq!(stats.campaign_jobs, 1);
-        assert_eq!(stats.total(), 8);
     }
 
     #[test]
