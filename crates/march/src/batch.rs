@@ -18,7 +18,7 @@
 //!  fault list (factories, list order)
 //!      │  probe: one instantiation per factory → lane kind (inline
 //!      │         LaneFaultKind) | boxed lane form | neither, plus the
-//!      ▼         involved addresses with their walk step counts
+//!      ▼         sorted, deduplicated involved addresses
 //!  probes (list order)
 //!      │  plan: classify into lane / boxed / serial candidates, then
 //!      │        group the lane candidates (CohortPlanner) into ≤64-lane
@@ -30,7 +30,8 @@
 //!      ▼        inverse permutation as it goes
 //!  packed lane array + per-cohort (start, len) ranges
 //!      │  execute: one run_march_lanes dispatch per cohort over its
-//!      │           slice of the packed array; detections land in
+//!      │           slice of the packed array, its schedule computed
+//!      │           from the union's walk positions; detections land in
 //!      ▼           packed-order flat arrays (sequential writes)
 //!  packed detections  +  parked outcomes (boxed/serial, rare)
 //!      │  scatter: one list-order assembly pass reads each fault's
@@ -66,7 +67,8 @@
 //!
 //! *Which* faults share a cohort is the [`CohortPlanner`]'s choice, and
 //! it decides how much walk each cohort dispatches: a cohort's schedule
-//! is the union of its members' involved-step slices, so packing faults
+//! is every walk step at the union of its members' involved addresses
+//! ([`MarchWalk::ops_per_address`] steps per address), so packing faults
 //! that **share addresses** into the same cohort shrinks the union. The
 //! default [`CohortPlanner::AddressAware`] packer clusters by involved
 //! addresses (kind-homogeneous within an address group, which keeps the
@@ -143,7 +145,7 @@ pub enum CohortPlanner {
     /// leads the key, so a victim's single-cell models and its coupling
     /// pairs cluster together; fault kind is the tie-break, so cohorts
     /// also come out kind-homogeneous) before chunking: faults sharing
-    /// victims land in the same cohort and their involved-step slices
+    /// victims land in the same cohort and their involved addresses
     /// deduplicate inside the union. The packer then keeps whichever
     /// grouping — clustered or list-order — yields the smaller total
     /// merged schedule, so it is never worse than the greedy baseline.
@@ -163,28 +165,15 @@ pub struct FaultBatch {
     schedule_steps: u64,
 }
 
-/// Total walk steps the union of the given involved sets dispatches:
-/// per-address step counts summed over the deduplicated union.
-fn union_schedule_steps(walk: &MarchWalk, sets: &[&[Address]]) -> u64 {
-    let mut union: Vec<Address> = sets.iter().flat_map(|set| set.iter().copied()).collect();
-    union.sort_unstable();
-    union.dedup();
-    union
-        .iter()
-        .map(|&address| walk.steps_touching(address).len() as u64)
-        .sum()
-}
-
 /// Probed faults in struct-of-arrays layout: the instances, the inline
 /// lane kinds (when the walk admits them), the boxed escape-hatch lane
 /// forms (only probed when there is no kind) and a CSR of the sorted
-/// involved addresses, each paired with its walk step count.
+/// involved addresses.
 ///
 /// Probing happens in fault-list order, once, and serves planning,
 /// packing and outcome assembly — re-instantiating 100k faults per phase
-/// (and re-reading the walk's cold CSR offsets per grouping evaluation)
 /// is measurable at dense-population scale. The arrays are deliberately
-/// *dense* (16 bytes per kind, 8 bytes per involved entry, no per-fault
+/// *dense* (16 bytes per kind, 4 bytes per involved address, no per-fault
 /// heap spill): the packer visits them in clustered order and the pack
 /// stage gathers through the packing permutation, and on shuffled
 /// populations those permuted passes are what the sweep's throughput
@@ -200,9 +189,9 @@ struct ProbeSet {
     /// The boxed escape-hatch lane forms, probed only when the kind is
     /// `None`.
     boxed: Vec<Option<Box<dyn LaneFault>>>,
-    /// `(address, steps touching it)` involved entries, ascending by
-    /// address within each fault, concatenated in fault-list order.
-    entries: Vec<(u32, u32)>,
+    /// Involved addresses, ascending and distinct within each fault,
+    /// concatenated in fault-list order.
+    entries: Vec<u32>,
     /// CSR offsets into `entries`: fault `i` owns
     /// `entries[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
@@ -224,31 +213,27 @@ impl ProbeSet {
         self.faults.len()
     }
 
-    /// The involved `(address, steps)` entries of fault `index`.
-    fn involved(&self, index: usize) -> &[(u32, u32)] {
+    /// The involved addresses of fault `index`.
+    fn involved(&self, index: usize) -> &[u32] {
         &self.entries[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
 }
 
-/// Sorts, deduplicates and step-annotates an involved address set into
-/// the probe CSR.
-fn push_involved_steps(walk: &MarchWalk, addresses: &[Address], entries: &mut Vec<(u32, u32)>) {
+/// Sorts and deduplicates an involved address set into the probe CSR.
+fn push_involved(addresses: &[Address], entries: &mut Vec<u32>) {
     let start = entries.len();
-    entries.extend(addresses.iter().map(|a| (a.value(), 0)));
-    entries[start..].sort_unstable_by_key(|entry| entry.0);
+    entries.extend(addresses.iter().map(|a| a.value()));
+    entries[start..].sort_unstable();
     // Deduplicate the freshly pushed tail only (never across the CSR
     // boundary into the previous fault's entries).
     let mut write = start;
     for read in start..entries.len() {
-        if write == start || entries[write - 1].0 != entries[read].0 {
+        if write == start || entries[write - 1] != entries[read] {
             entries[write] = entries[read];
             write += 1;
         }
     }
     entries.truncate(write);
-    for entry in &mut entries[start..] {
-        entry.1 = walk.steps_touching(Address::new(entry.0)).len() as u32;
-    }
 }
 
 /// Sequentially probes every factory of `faults` over `walk`.
@@ -284,9 +269,9 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
                     }
                     _ => unreachable!("enum lane kinds involve one or two cells"),
                 };
-                push_involved_steps(walk, &involved, &mut probes.entries);
+                push_involved(&involved, &mut probes.entries);
             }
-            (None, Some(form)) => push_involved_steps(walk, &form.involved(), &mut probes.entries),
+            (None, Some(form)) => push_involved(&form.involved(), &mut probes.entries),
             _ => {}
         }
         probes.offsets.push(probes.entries.len() as u32);
@@ -305,15 +290,14 @@ const UNPACKED: u32 = u32::MAX;
 
 /// One clustered-sort entry of the address-aware packer: the victim-major
 /// signature, kind rank and fault index form the sort key, and the entry
-/// also carries everything the post-sort pass needs — per-address step
-/// counts for the union cost, the inline lane form for direct packed
-/// emission — so that pass never touches the permuted probe tables.
+/// also carries the inline lane form for direct packed emission — so the
+/// post-sort pass never touches the permuted probe tables (the signature
+/// itself holds the involved addresses the union cost needs).
 #[derive(Debug, Clone, Copy)]
 struct ClusterKey {
     sig: u64,
     rank: u8,
     index: u32,
-    steps: (u32, u32),
     kind: LaneFaultKind,
 }
 
@@ -329,12 +313,13 @@ struct PackedLanes {
     ranges: Vec<(u32, u32)>,
 }
 
-/// Sorts, deduplicates and sums a cohort union accumulated in `scratch`,
-/// clearing it for the next cohort.
-fn close_union(scratch: &mut Vec<(u32, u32)>) -> u64 {
+/// The walk steps of a cohort union accumulated in `scratch` — its
+/// distinct addresses times the walk's steps per address — clearing it
+/// for the next cohort.
+fn close_union(scratch: &mut Vec<u32>, ops_per_address: u64) -> u64 {
     scratch.sort_unstable();
-    scratch.dedup_by_key(|entry| entry.0);
-    let steps = scratch.iter().map(|&(_, s)| u64::from(s)).sum();
+    scratch.dedup();
+    let steps = scratch.len() as u64 * ops_per_address;
     scratch.clear();
     steps
 }
@@ -347,9 +332,10 @@ fn close_union(scratch: &mut Vec<(u32, u32)>) -> u64 {
 /// merged-schedule steps in the same pass, so a clustered evaluation
 /// visits the (possibly permuted) involved slices exactly once.
 fn chunk_and_cost(
-    involved: &[&[(u32, u32)]],
+    involved: &[&[u32]],
     positions: &[usize],
-    scratch: &mut Vec<(u32, u32)>,
+    scratch: &mut Vec<u32>,
+    ops_per_address: u64,
 ) -> (Vec<Vec<usize>>, u64) {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut pending: Vec<usize> = Vec::new();
@@ -361,14 +347,14 @@ fn chunk_and_cost(
             && (pending.len() == LaneMemory::LANES
                 || scratch.len() + set.len() > crate::executor::COHORT_ADDRESS_BUDGET)
         {
-            total += close_union(scratch);
+            total += close_union(scratch, ops_per_address);
             groups.push(std::mem::take(&mut pending));
         }
         pending.push(position);
         scratch.extend_from_slice(set);
     }
     if !pending.is_empty() {
-        total += close_union(scratch);
+        total += close_union(scratch, ops_per_address);
         groups.push(pending);
     }
     (groups, total)
@@ -455,6 +441,7 @@ impl FaultBatch {
         want_packed: bool,
     ) -> (Self, Option<PackedLanes>) {
         let locality_safe = walk.locality_safe();
+        let ops_per_address = walk.ops_per_address() as u64;
         // Candidate indices are kept as `u32` (half the bytes of `usize`)
         // because cohort assembly below gathers them in the planner's
         // clustered order — a permuted pass on shuffled populations.
@@ -462,9 +449,9 @@ impl FaultBatch {
         let mut lane_kinds: Vec<u8> = Vec::new();
         let mut lane_kind_values: Vec<LaneFaultKind> = Vec::new();
         let mut lane_sigs: Vec<u64> = Vec::new();
-        let mut involved: Vec<&[(u32, u32)]> = Vec::new();
+        let mut involved: Vec<&[u32]> = Vec::new();
         let mut boxed_indices: Vec<u32> = Vec::new();
-        let mut boxed_involved: Vec<&[(u32, u32)]> = Vec::new();
+        let mut boxed_involved: Vec<&[u32]> = Vec::new();
         let mut serial: Vec<usize> = Vec::new();
         let mut serial_steps = 0u64;
         for index in 0..probes.len() {
@@ -487,16 +474,21 @@ impl FaultBatch {
                     .as_ref()
                     .expect("fresh probes hold their fault");
                 serial_steps += match fault.involved_addresses().filter(|_| locality_safe) {
-                    Some(addresses) => union_schedule_steps(walk, &[&addresses]),
+                    Some(mut addresses) => {
+                        addresses.sort_unstable();
+                        addresses.dedup();
+                        addresses.len() as u64 * ops_per_address
+                    }
                     None => walk.len() as u64,
                 };
                 serial.push(index);
             }
         }
 
-        let mut scratch: Vec<(u32, u32)> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
         let list_order: Vec<usize> = (0..lane_indices.len()).collect();
-        let (greedy, greedy_steps) = chunk_and_cost(&involved, &list_order, &mut scratch);
+        let (greedy, greedy_steps) =
+            chunk_and_cost(&involved, &list_order, &mut scratch, ops_per_address);
         // Greedy groups hold candidate positions; resolve them to fault
         // indices (a sequential pass — greedy positions are in candidate
         // order).
@@ -523,37 +515,19 @@ impl FaultBatch {
                 // in fault index, so the two tie-breaks order
                 // identically), and chunking the sorted order packs
                 // overlapping faults into shared cohorts. Each key also
-                // carries the fault index, the lane form and the
-                // per-address step counts, so after the sort the
-                // chunk-and-cost pass below builds fault-index cohorts
-                // (and, on request, the packed lane array) from the keys
-                // *sequentially*: on a shuffled 100k population it never
-                // chases the permuted `involved` slices (or the
+                // carries the fault index and the lane form, and its
+                // signature holds the involved addresses, so after the
+                // sort the chunk-and-cost pass below builds fault-index
+                // cohorts (and, on request, the packed lane array) from
+                // the keys *sequentially*: on a shuffled 100k population
+                // it never chases the permuted `involved` slices (or the
                 // candidate-index table) at all.
-                let mut keyed: Vec<ClusterKey> = involved
-                    .iter()
-                    .enumerate()
-                    .map(|(position, set)| {
-                        debug_assert!(set.len() <= 2, "enum lane kinds involve at most two cells");
-                        let sig = lane_sigs[position];
-                        // Step counts in the signature's (primary,
-                        // secondary) order — `set` is sorted by address,
-                        // the signature by semantic role.
-                        let primary = (sig >> 32) as u32;
-                        let steps = if set.len() == 1 {
-                            (set[0].1, 0)
-                        } else if set[0].0 == primary {
-                            (set[0].1, set[1].1)
-                        } else {
-                            (set[1].1, set[0].1)
-                        };
-                        ClusterKey {
-                            sig,
-                            rank: lane_kinds[position],
-                            index: lane_indices[position],
-                            steps,
-                            kind: lane_kind_values[position],
-                        }
+                let mut keyed: Vec<ClusterKey> = (0..involved.len())
+                    .map(|position| ClusterKey {
+                        sig: lane_sigs[position],
+                        rank: lane_kinds[position],
+                        index: lane_indices[position],
+                        kind: lane_kind_values[position],
                     })
                     .collect();
                 keyed.sort_unstable_by_key(|key| (key.sig, key.rank, key.index));
@@ -571,11 +545,7 @@ impl FaultBatch {
                 });
                 scratch.clear();
                 for &ClusterKey {
-                    sig,
-                    index,
-                    steps,
-                    kind,
-                    ..
+                    sig, index, kind, ..
                 } in &keyed
                 {
                     // A second address of `u32::MAX` marks a one-cell
@@ -585,7 +555,7 @@ impl FaultBatch {
                         && (pending.len() == LaneMemory::LANES
                             || scratch.len() + len > crate::executor::COHORT_ADDRESS_BUDGET)
                     {
-                        packed_steps += close_union(&mut scratch);
+                        packed_steps += close_union(&mut scratch, ops_per_address);
                         packed.push(std::mem::take(&mut pending));
                     }
                     pending.push(index as usize);
@@ -593,13 +563,13 @@ impl FaultBatch {
                         emitted.of_fault[index as usize] = emitted.lanes.len() as u32;
                         emitted.lanes.push(kind);
                     }
-                    scratch.push(((sig >> 32) as u32, steps.0));
+                    scratch.push((sig >> 32) as u32);
                     if len == 2 {
-                        scratch.push((sig as u32, steps.1));
+                        scratch.push(sig as u32);
                     }
                 }
                 if !pending.is_empty() {
-                    packed_steps += close_union(&mut scratch);
+                    packed_steps += close_union(&mut scratch, ops_per_address);
                     packed.push(pending);
                 }
                 // Keep whichever grouping dispatches less walk: the
@@ -631,8 +601,12 @@ impl FaultBatch {
         // fault types are rare by construction, so they take the simple
         // grouping under either planner.
         let boxed_positions: Vec<usize> = (0..boxed_indices.len()).collect();
-        let (boxed_groups, boxed_steps) =
-            chunk_and_cost(&boxed_involved, &boxed_positions, &mut scratch);
+        let (boxed_groups, boxed_steps) = chunk_and_cost(
+            &boxed_involved,
+            &boxed_positions,
+            &mut scratch,
+            ops_per_address,
+        );
 
         let mut cohorts: Vec<Cohort> = lane_groups.into_iter().map(Cohort::Lanes).collect();
         cohorts.extend(boxed_groups.into_iter().map(|members| {
@@ -1048,6 +1022,7 @@ mod tests {
     use crate::address_order::WordLineAfterWordLine;
     use crate::algorithm::MarchTest;
     use crate::element::MarchElement;
+    use crate::executor::merged_step_indices;
     use crate::faults::{standard_fault_list, StuckAtFault};
     use crate::library;
     use crate::operation::MarchOp;
@@ -1262,8 +1237,8 @@ mod tests {
         // union of two addresses.
         let organization = org();
         let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
-        let victim_steps = walk.steps_touching(Address::new(3)).len() as u64;
-        let other_steps = walk.steps_touching(Address::new(7)).len() as u64;
+        let victim_steps = merged_step_indices(&walk, &[Address::new(3)]).len() as u64;
+        let other_steps = merged_step_indices(&walk, &[Address::new(7)]).len() as u64;
         let faults: Vec<FaultFactory> = vec![
             Box::new(|| Box::new(StuckAtFault::new(Address::new(3), false))),
             Box::new(|| Box::new(StuckAtFault::new(Address::new(3), true))),

@@ -8,9 +8,10 @@
 //!   **once** and serves both directions by index arithmetic, so neither
 //!   the executor nor the low-power scheduler re-allocates address
 //!   sequences per element;
-//! * [`MarchWalk`] flattens a whole `(test, order, organization)` traversal
-//!   into a compact 8-byte-per-step array that is shared, read-only, across
-//!   every fault of a sweep (and across threads);
+//! * [`MarchWalk`] describes a whole `(test, order, organization)`
+//!   traversal in closed form (the ⇑ permutation, its inverse and one
+//!   descriptor per March element, nothing per step) and is shared,
+//!   read-only, across every fault of a sweep and across threads;
 //! * [`run_march_walk`] executes a walk against any [`MemoryModel`] and
 //!   reports every mismatch; [`run_march_until_detected`] is the early-exit
 //!   variant for sweeps that only need the detected/missed bit — it stops
@@ -150,18 +151,9 @@ impl AddressPlan {
     }
 }
 
-/// One flattened step, packed into eight bytes: the raw address, the
-/// element index, the op index and a code byte (bits 0–1 the operation,
-/// bit 2 `last_op_on_address`, bit 3 `last_op_of_element`, bit 4 the
-/// sensed-before value — see [`SENSED_BEFORE`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PackedStep {
-    address: u32,
-    element: u16,
-    op_index: u8,
-    code: u8,
-}
-
+// The code byte of a step: bits 0–1 the operation, bit 2
+// `last_op_on_address`, bit 3 `last_op_of_element`, bit 4 the
+// sensed-before value (see `SENSED_BEFORE`).
 const OP_MASK: u8 = 0b0011;
 const READ_BIT: u8 = 0b0010;
 const VALUE_BIT: u8 = 0b0001;
@@ -171,11 +163,18 @@ const LAST_OF_ELEMENT: u8 = 0b1000;
 /// *before* this read, i.e. the expected value of the most recent earlier
 /// read at an address **different from this step's address** (`0` when no
 /// such read exists, matching the initial sense-amplifier state of
-/// [`crate::faults::StuckOpenFault`]). Stamped at walk-build time, this is
-/// what lets the history-dependent stuck-open fault ride the lane-batched
-/// kernel without replaying the full walk: in a locality-safe walk every
-/// non-victim read returns its expected value, so the victim's bit-line
-/// history is a pure function of the walk and can be precomputed.
+/// [`crate::faults::StuckOpenFault`]). This is what lets the
+/// history-dependent stuck-open fault ride the lane-batched kernel without
+/// replaying the full walk: in a locality-safe walk every non-victim read
+/// returns its expected value, so the victim's bit-line history is a pure
+/// function of the walk.
+///
+/// Every address runs its element's whole operation list, so the stamp
+/// needs no history. Past an element's first address, the previous one ran
+/// the element's last read. At the first address, the latest read
+/// elsewhere is the last read of the nearest earlier element that has one,
+/// run at its last *and* second-to-last addresses, one of which differs
+/// from this one (on a single-cell array the stamp is always `0`).
 const SENSED_BEFORE: u8 = 0b1_0000;
 
 #[inline]
@@ -198,61 +197,41 @@ fn decode_op(code: u8) -> MarchOp {
     }
 }
 
+/// One March element of a [`MarchWalk`], in closed form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ElementPlan {
+    /// `true` for ⇓ elements; ⇑ and ⇕ run the ascending permutation.
+    descending: bool,
+    /// Walk index of the element's first step.
+    offset: u32,
+    /// Code byte of each operation at the element's first position, at
+    /// every middle one and at its last one: the operation,
+    /// `LAST_ON_ADDRESS` on the final operation (plus `LAST_OF_ELEMENT`
+    /// at the last position) and, on reads, the sensed-before stamp.
+    codes: [Vec<u8>; 3],
+}
+
 /// A `(test, order, organization)` traversal precomputed once and shared
 /// across every fault of a sweep.
 ///
-/// Construction costs one address permutation plus one flat step array
-/// (eight bytes per operation); execution afterwards is a branch-light
-/// scan — allocation-free for full walks and single-address filtered
-/// runs, one small merge buffer for multi-address faults — which is what
-/// makes million-fault sweeps tractable. The walk is immutable and
-/// `Sync`, so parallel sweeps share one instance across threads.
+/// The walk stores the ⇑ address permutation, its inverse (two `u32`s per
+/// cell) and one descriptor per March element, never a per-step array:
+/// operation `i` of element `e` at address `a` is walk step
+/// `offset[e] + pos_e(a) · ops_e + i`, where `pos_e(a)` is the address's ⇑
+/// position, mirrored for a ⇓ element. Building a walk costs one
+/// permutation, so per-job rebuilds and 4096×4096 arrays are cheap. The
+/// walk is immutable and `Sync`, so parallel sweeps share one instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarchWalk {
     test_name: String,
     order_name: String,
-    capacity: u32,
+    plan: AddressPlan,
+    /// The inverse of `plan`: the ⇑ position of every address.
+    positions: Vec<u32>,
+    elements: Vec<ElementPlan>,
     reads: u64,
     writes: u64,
-    steps: Vec<PackedStep>,
-    /// CSR index of the steps by address: the step indices touching address
-    /// `a` are `step_index[offset[a] .. offset[a + 1]]`, ascending. This is
-    /// what lets localised faults execute only their own slice of the walk.
-    address_offsets: Vec<u32>,
-    address_steps: Vec<u32>,
-    /// Per-CSR-entry step payload, aligned with `address_steps`: the
-    /// element (bits 16–31), op index (bits 8–15) and code byte (bits
-    /// 0–7) of each step, laid out address-major. The cohort kernel reads
-    /// these slices *sequentially* instead of chasing `address_steps`
-    /// indices into the execution-ordered `steps` array — on megabit
-    /// walks (hundreds of MB of steps) those scattered loads are cache
-    /// misses that would otherwise dominate dense sweeps.
-    address_codes: Vec<u32>,
     locality_safe: bool,
-}
-
-/// `true` when a fault-free cell can never mismatch under `test`,
-/// regardless of the pre-test background: every March element applies the
-/// same operation sequence to every cell (only the interleaving differs),
-/// so one symbolic pass over the per-cell sequence decides it. The value
-/// starts unknown (background-dependent); a read in an unknown or
-/// different state could mismatch on a good memory, which would make the
-/// locality-filtered execution diverge from the full walk.
-fn fault_free_reads_always_match(test: &MarchTest) -> bool {
-    let mut state: Option<bool> = None;
-    for element in test.elements() {
-        for &op in element.ops() {
-            if let Some(value) = op.write_value() {
-                state = Some(value);
-            } else {
-                let expected = op.expected_value().expect("reads have expectations");
-                if state != Some(expected) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 impl MarchWalk {
@@ -261,9 +240,10 @@ impl MarchWalk {
     ///
     /// # Panics
     ///
-    /// Panics if the test has more than `u16::MAX` elements or an element
-    /// has more than `u8::MAX` operations — far beyond any published March
-    /// algorithm — since the packed encoding reserves 16/8 bits for them.
+    /// Panics if `order` is not a permutation of the array, if the walk has
+    /// more than `u32::MAX` steps, or if the test has more than `u16::MAX`
+    /// elements or an element more than `u8::MAX` operations (the kernel's
+    /// schedule entries reserve 16/8 bits for them).
     pub fn new(
         test: &MarchTest,
         order: &dyn AddressOrder,
@@ -271,102 +251,82 @@ impl MarchWalk {
     ) -> Self {
         let plan = AddressPlan::new(order, organization);
         let capacity = organization.capacity();
+        let mut positions = vec![u32::MAX; capacity as usize];
+        assert!(
+            plan.len() == positions.len(),
+            "address order is not a permutation"
+        );
+        for (position, address) in plan.ascending.iter().enumerate() {
+            let slot = &mut positions[address.value() as usize];
+            assert_eq!(*slot, u32::MAX, "address order is not a permutation");
+            *slot = position as u32;
+        }
         assert!(
             test.element_count() <= usize::from(u16::MAX),
-            "march test has too many elements for the packed walk"
+            "march test has too many elements for the walk"
         );
-        let mut steps = Vec::with_capacity(test.operation_count() * capacity as usize);
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        // Sense-amplifier history for the SENSED_BEFORE stamp: the most
-        // recent read (address, expected value) and the expected value of
-        // the most recent read at a *different* address than that one.
-        // Writes leave the sensed value untouched.
-        let mut last_read: Option<(u32, bool)> = None;
-        let mut prior_distinct = false;
-        for (element_index, element) in test.elements().iter().enumerate() {
+        // `u32` step indices hold any practical walk (a 4096×4096 March SS
+        // is ~369M steps).
+        assert!(
+            test.total_operations(u64::from(capacity)) <= u64::from(u32::MAX),
+            "walk too large for 32-bit step indices"
+        );
+        let mut elements = Vec::with_capacity(test.element_count());
+        let mut offset = 0u32;
+        // Expected value of the latest read of the walk so far.
+        let mut latest_read: Option<bool> = None;
+        // Locality safety: every cell runs the same operation sequence, so
+        // one symbolic pass decides whether a fault-free cell can mismatch.
+        // The value starts unknown (background-dependent); a read in an
+        // unknown or different state could mismatch on a good memory.
+        let mut cell: Option<bool> = None;
+        let mut locality_safe = true;
+        for element in test.elements() {
             let ops = element.ops();
             assert!(
                 ops.len() <= usize::from(u8::MAX),
-                "march element has too many operations for the packed walk"
+                "march element has too many operations for the walk"
             );
-            let last_position = plan.len().saturating_sub(1);
-            for (position, address) in plan.iter(element.direction()).enumerate() {
-                for (op_index, &op) in ops.iter().enumerate() {
-                    let mut code = op_code(op);
-                    if op.is_read() {
-                        reads += 1;
-                        let sensed = match last_read {
-                            Some((last_address, _)) if last_address == address.value() => {
-                                prior_distinct
-                            }
-                            Some((_, last_value)) => last_value,
-                            None => false,
-                        };
-                        if sensed {
-                            code |= SENSED_BEFORE;
-                        }
-                        if let Some((last_address, last_value)) = last_read {
-                            if last_address != address.value() {
-                                prior_distinct = last_value;
-                            }
-                        }
-                        let expected = op.expected_value().expect("reads have expectations");
-                        last_read = Some((address.value(), expected));
-                    } else {
-                        writes += 1;
-                    }
-                    if op_index == ops.len() - 1 {
-                        code |= LAST_ON_ADDRESS;
-                        if position == last_position {
-                            code |= LAST_OF_ELEMENT;
-                        }
-                    }
-                    steps.push(PackedStep {
-                        address: address.value(),
-                        element: element_index as u16,
-                        op_index: op_index as u8,
-                        code,
-                    });
+            for &op in ops {
+                match op.write_value() {
+                    Some(value) => cell = Some(value),
+                    None => locality_safe &= cell == op.expected_value(),
                 }
             }
-        }
-        // Counting-sort CSR of step indices by address: one pass to count,
-        // one to place. `u32` step indices hold any practical walk (a
-        // 512×512 March G is ~6M steps).
-        assert!(
-            steps.len() <= u32::MAX as usize,
-            "walk too large for 32-bit step indices"
-        );
-        let mut address_offsets = vec![0u32; capacity as usize + 1];
-        for step in &steps {
-            address_offsets[step.address as usize + 1] += 1;
-        }
-        for a in 0..capacity as usize {
-            address_offsets[a + 1] += address_offsets[a];
-        }
-        let mut cursor = address_offsets.clone();
-        let mut address_steps = vec![0u32; steps.len()];
-        let mut address_codes = vec![0u32; steps.len()];
-        for (index, step) in steps.iter().enumerate() {
-            let slot = cursor[step.address as usize] as usize;
-            address_steps[slot] = index as u32;
-            address_codes[slot] = u32::from(step.element) << 16
-                | u32::from(step.op_index) << 8
-                | u32::from(step.code);
-            cursor[step.address as usize] += 1;
+            let last_read = ops.iter().rev().find_map(|op| op.expected_value());
+            let first_read = if capacity > 1 { latest_read } else { None };
+            let codes_at = |sensed: Option<bool>, last: u8| -> Vec<u8> {
+                let stamp = SENSED_BEFORE * u8::from(sensed == Some(true));
+                let mut codes: Vec<u8> = ops
+                    .iter()
+                    .map(|&op| op_code(op) | (stamp * u8::from(op.is_read())))
+                    .collect();
+                *codes.last_mut().expect("elements have operations") |= LAST_ON_ADDRESS | last;
+                codes
+            };
+            // On a one-cell array the first position is also the last.
+            let first_is_last = LAST_OF_ELEMENT * u8::from(capacity == 1);
+            elements.push(ElementPlan {
+                descending: element.direction() == AddressDirection::Descending,
+                offset,
+                codes: [
+                    codes_at(first_read, first_is_last),
+                    codes_at(last_read, 0),
+                    codes_at(last_read, LAST_OF_ELEMENT),
+                ],
+            });
+            latest_read = last_read.or(latest_read);
+            offset += ops.len() as u32 * capacity;
         }
         Self {
             test_name: test.name().to_string(),
             order_name: order.name().to_string(),
-            capacity,
-            reads,
-            writes,
-            steps,
-            address_offsets,
-            address_steps,
-            address_codes,
-            locality_safe: fault_free_reads_always_match(test),
+            plan,
+            positions,
+            elements,
+            reads: test.read_count() as u64 * u64::from(capacity),
+            writes: test.write_count() as u64 * u64::from(capacity),
+            locality_safe,
         }
     }
 
@@ -381,28 +341,10 @@ impl MarchWalk {
         self.locality_safe
     }
 
-    /// The indices (ascending) of the walk steps that touch `address`.
-    pub fn steps_touching(&self, address: Address) -> &[u32] {
-        let a = address.value() as usize;
-        assert!(a < self.capacity as usize, "address out of range");
-        let from = self.address_offsets[a] as usize;
-        let to = self.address_offsets[a + 1] as usize;
-        &self.address_steps[from..to]
-    }
-
-    /// The packed payloads of the steps touching `address`, aligned
-    /// entry-for-entry with [`MarchWalk::steps_touching`]: element in
-    /// bits 16–31, op index in bits 8–15, code byte (operation, last-on-
-    /// address/of-element flags and the sensed-before stamp) in bits 0–7.
-    /// Reading these contiguous slices is how the cohort kernel builds
-    /// dispatch schedules without scattered loads into the
-    /// execution-ordered step array.
-    pub fn step_payloads_touching(&self, address: Address) -> &[u32] {
-        let a = address.value() as usize;
-        assert!(a < self.capacity as usize, "address out of range");
-        let from = self.address_offsets[a] as usize;
-        let to = self.address_offsets[a + 1] as usize;
-        &self.address_codes[from..to]
+    /// Number of walk steps touching each address: the test's operation
+    /// count, identical for every address.
+    pub fn ops_per_address(&self) -> usize {
+        self.len() / self.positions.len()
     }
 
     /// Name of the March test the walk was built from.
@@ -417,17 +359,17 @@ impl MarchWalk {
 
     /// Number of addressable cells of the organization the walk covers.
     pub fn capacity(&self) -> u32 {
-        self.capacity
+        self.positions.len() as u32
     }
 
     /// Total number of operations in the walk.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        (self.reads + self.writes) as usize
     }
 
     /// `true` when the walk contains no operations.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len() == 0
     }
 
     /// Number of read operations in the walk.
@@ -442,13 +384,100 @@ impl MarchWalk {
 
     /// The traversal as fully described [`MarchStep`]s, in execution order.
     pub fn steps(&self) -> impl ExactSizeIterator<Item = MarchStep> + '_ {
-        self.steps.iter().map(|step| MarchStep {
-            element: usize::from(step.element),
-            op_index: usize::from(step.op_index),
-            address: Address::new(step.address),
-            op: decode_op(step.code),
-            last_op_on_address: step.code & LAST_ON_ADDRESS != 0,
-            last_op_of_element: step.code & LAST_OF_ELEMENT != 0,
+        (0..self.len() as u32).map(move |index| {
+            let (element, op_index, address, code) = self.step(index);
+            MarchStep {
+                element,
+                op_index,
+                address,
+                op: decode_op(code),
+                last_op_on_address: code & LAST_ON_ADDRESS != 0,
+                last_op_of_element: code & LAST_OF_ELEMENT != 0,
+            }
+        })
+    }
+
+    /// Maps a position of `element` to the ⇑ position and back.
+    #[inline]
+    fn mirror(&self, element: &ElementPlan, position: u32) -> u32 {
+        if element.descending {
+            self.capacity() - 1 - position
+        } else {
+            position
+        }
+    }
+
+    /// The code bytes of `element`'s operations at `position`.
+    #[inline]
+    fn codes<'a>(&self, element: &'a ElementPlan, position: u32) -> &'a [u8] {
+        match position {
+            0 => &element.codes[0],
+            last if last == self.capacity() - 1 => &element.codes[2],
+            _ => &element.codes[1],
+        }
+    }
+
+    /// The element, op index, address and code byte of step `index`.
+    fn step(&self, index: u32) -> (usize, usize, Address, u8) {
+        let element_index = self.elements.partition_point(|e| e.offset <= index) - 1;
+        let element = &self.elements[element_index];
+        let codes = &element.codes[1];
+        let position = (index - element.offset) / codes.len() as u32;
+        let op = ((index - element.offset) % codes.len() as u32) as usize;
+        let address = self.plan.ascending[self.mirror(element, position) as usize];
+        let code = self.codes(element, position)[op];
+        (element_index, op, address, code)
+    }
+
+    /// Visits every step in execution order as `(element, address, code)`
+    /// until `visit` returns `false`; returns `false` when it stopped early.
+    /// Only the operation bits of `code` are meaningful: every address gets
+    /// its element's middle-position code bytes, which keeps the loop free
+    /// of per-position checks.
+    #[inline]
+    fn try_for_each_step(&self, mut visit: impl FnMut(usize, Address, u8) -> bool) -> bool {
+        self.elements.iter().enumerate().all(|(index, element)| {
+            let codes = &element.codes[1];
+            let run = |&address: &Address| codes.iter().all(|&code| visit(index, address, code));
+            let mut addresses = self.plan.ascending.iter();
+            if element.descending {
+                addresses.rev().all(run)
+            } else {
+                addresses.all(run)
+            }
+        })
+    }
+
+    /// The key of `address` for [`MarchWalk::try_for_each_step_at`]: its
+    /// ⇑ position in the high half, the caller's `tag` in the low.
+    #[inline]
+    fn position_key(&self, address: Address, tag: u32) -> u64 {
+        u64::from(self.positions[address.value() as usize]) << 32 | u64::from(tag)
+    }
+
+    /// [`MarchWalk::try_for_each_step`] restricted to the addresses of
+    /// `keys` (one [`MarchWalk::position_key`] each, ascending), visiting
+    /// `(index, element, tag, code)`. Each element visits the keys forwards
+    /// (⇑, ⇕) or backwards (⇓), so the indices ascend without a sort.
+    #[inline]
+    fn try_for_each_step_at(
+        &self,
+        keys: &[u64],
+        mut visit: impl FnMut(u32, usize, u32, u8) -> bool,
+    ) -> bool {
+        self.elements.iter().enumerate().all(|(index, element)| {
+            let ops = element.codes[1].len() as u32;
+            let mut visit_key = |&key: &u64| {
+                let position = self.mirror(element, (key >> 32) as u32);
+                let first = element.offset + position * ops;
+                let mut codes = self.codes(element, position).iter().enumerate();
+                codes.all(|(op, &code)| visit(first + op as u32, index, key as u32, code))
+            };
+            if element.descending {
+                keys.iter().rev().all(&mut visit_key)
+            } else {
+                keys.iter().all(&mut visit_key)
+            }
         })
     }
 }
@@ -466,32 +495,48 @@ pub fn march_walk(
     MarchWalk::new(test, order, organization).steps().collect()
 }
 
-/// Runs a precomputed `walk` on `memory` and reports every read mismatch.
-pub fn run_march_walk<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M) -> MarchResult {
-    let mut mismatches = Vec::new();
-    for step in &walk.steps {
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else {
-            let expected = step.code & VALUE_BIT != 0;
-            let observed = memory.read(address);
-            if observed != expected {
-                mismatches.push(Mismatch {
-                    element: usize::from(step.element),
-                    address,
-                    expected,
-                    observed,
-                });
-            }
-        }
+/// Applies one step to `memory`, returning the mismatch of a failing read.
+#[inline]
+fn apply_step<M: MemoryModel + ?Sized>(
+    memory: &mut M,
+    element: usize,
+    address: Address,
+    code: u8,
+) -> Option<Mismatch> {
+    let value = code & VALUE_BIT != 0;
+    if code & READ_BIT == 0 {
+        memory.write(address, value);
+        return None;
     }
+    let observed = memory.read(address);
+    (observed != value).then_some(Mismatch {
+        element,
+        address,
+        expected: value,
+        observed,
+    })
+}
+
+/// A [`MarchResult`] carrying `walk`'s full operation totals.
+fn full_walk_result(walk: &MarchWalk, mismatches: Vec<Mismatch>) -> MarchResult {
     MarchResult {
         mismatches,
         operations: walk.reads + walk.writes,
         reads: walk.reads,
         writes: walk.writes,
     }
+}
+
+/// Runs a precomputed `walk` on `memory` and reports every read mismatch.
+pub fn run_march_walk<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M) -> MarchResult {
+    let mut mismatches = Vec::new();
+    walk.try_for_each_step(|element, address, code| {
+        if let Some(mismatch) = apply_step(memory, element, address, code) {
+            mismatches.push(mismatch);
+        }
+        true
+    });
+    full_walk_result(walk, mismatches)
 }
 
 /// Runs a precomputed `walk` on `memory`, stopping at the first mismatching
@@ -502,78 +547,54 @@ pub fn run_march_walk<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M)
 /// mismatches within the first elements of the test, so the early exit
 /// skips most of the remaining `O(ops × cells)` work.
 pub fn run_march_until_detected<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M) -> bool {
-    for step in &walk.steps {
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else if memory.read(address) != (step.code & VALUE_BIT != 0) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The ascending, deduplicated indices of the walk steps touching a set of
-/// involved addresses — the involved-step schedule shared by the per-fault
-/// filtered runners and the lane-batched cohort kernel.
-///
-/// Single-address faults (the bulk of every fault list) borrow their CSR
-/// slice directly — no allocation, no sort. Multi-address sets (the
-/// coupling pair, the decoder alias, a whole cohort's merged union)
-/// linearly merge their already-sorted slices, deduplicating shared
-/// indices. Produced by [`merged_step_indices`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FilteredSteps<'a> {
-    /// A CSR slice borrowed straight from the walk (zero or one address).
-    Borrowed(&'a [u32]),
-    /// The merged schedule of several addresses' slices.
-    Merged(Vec<u32>),
-}
-
-impl std::ops::Deref for FilteredSteps<'_> {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        match self {
-            FilteredSteps::Borrowed(slice) => slice,
-            FilteredSteps::Merged(vec) => vec,
-        }
-    }
+    !walk.try_for_each_step(|element, address, code| {
+        apply_step(memory, element, address, code).is_none()
+    })
 }
 
 /// Builds the involved-step schedule of `involved` over `walk`: every walk
 /// step index touching at least one of the addresses, ascending, each
-/// index exactly once.
+/// index exactly once (duplicate addresses collapse).
 ///
-/// This is the single source of the involved-step filtering used by both
-/// the per-fault fast path ([`run_march_walk_filtered`],
-/// [`run_march_until_detected_filtered`]) and the lane-batched cohort
-/// kernel ([`run_march_lanes`]), which dispatches the merged union of a
-/// whole cohort's involved sets in one pass.
+/// This is the step set the per-fault fast path
+/// ([`run_march_walk_filtered`], [`run_march_until_detected_filtered`])
+/// executes and the lane-batched cohort kernel ([`run_march_lanes`])
+/// dispatches for the merged union of a whole cohort's involved sets.
 ///
 /// # Panics
 ///
 /// Panics if an involved address is outside the walk's capacity.
-pub fn merged_step_indices<'a>(walk: &'a MarchWalk, involved: &[Address]) -> FilteredSteps<'a> {
-    match involved {
-        [] => FilteredSteps::Borrowed(&[]),
-        [address] => FilteredSteps::Borrowed(walk.steps_touching(*address)),
-        addresses => {
-            // Every walk step touches exactly one address, so distinct
-            // addresses contribute disjoint slices and a gather-and-sort
-            // builds the union in `O(E log E)` — the old head-minimum
-            // scan was `O(E × addresses)`, which dominated dense cohorts
-            // whose unions span dozens of addresses. The dedup only
-            // collapses duplicate addresses in `involved`.
-            let mut merged: Vec<u32> = addresses
-                .iter()
-                .flat_map(|&address| walk.steps_touching(address).iter().copied())
-                .collect();
-            merged.sort_unstable();
-            merged.dedup();
-            FilteredSteps::Merged(merged)
-        }
-    }
+pub fn merged_step_indices(walk: &MarchWalk, involved: &[Address]) -> Vec<u32> {
+    let mut merged = Vec::with_capacity(involved.len() * walk.ops_per_address());
+    try_for_each_involved_step(walk, involved, |index, _, _, _| {
+        merged.push(index);
+        true
+    });
+    merged
+}
+
+/// [`MarchWalk::try_for_each_step_at`] over an arbitrary address set
+/// (duplicates allowed), visiting `(index, element, address, code)`.
+/// A single address, the most common fault, needs no allocation.
+fn try_for_each_involved_step(
+    walk: &MarchWalk,
+    involved: &[Address],
+    mut visit: impl FnMut(u32, usize, Address, u8) -> bool,
+) -> bool {
+    let key = |address: &Address| walk.position_key(*address, address.value());
+    let (single, mut many);
+    let keys: &[u64] = if let [address] = involved {
+        single = [key(address)];
+        &single
+    } else {
+        many = involved.iter().map(key).collect::<Vec<u64>>();
+        many.sort_unstable();
+        many.dedup();
+        &many
+    };
+    walk.try_for_each_step_at(keys, |index, element, address, code| {
+        visit(index, element, Address::new(address), code)
+    })
 }
 
 /// Per-lane outcome of a batched cohort run ([`run_march_lanes`]).
@@ -621,8 +642,8 @@ fn lane_mask(lanes: usize) -> u64 {
 /// Each element of `lanes` owns the bit lane of its position in the slice:
 /// a sparse [`LaneMemory`] over the cohort's merged involved addresses is
 /// filled to `background`, the merged involved-step schedule (the same
-/// union [`merged_step_indices`] describes, gathered here with
-/// pre-resolved union slots) is dispatched once, and at every step the
+/// steps [`merged_step_indices`] lists, computed here with pre-resolved
+/// union slots) is dispatched once, and at every step the
 /// lanes whose fault involves the step's address run their faulty form
 /// while all remaining lanes take the fault-free whole-word `u64`
 /// operation. Read steps compare all lanes at once: the observed word is
@@ -660,14 +681,15 @@ pub fn run_march_lanes<L: LaneFault>(
 /// Reusable dispatch buffers of the lane-batched kernel.
 ///
 /// One cohort dispatch needs half a dozen transient arrays — the gathered
-/// involved sets, the sorted union, per-slot ownership masks, the sparse
-/// [`LaneMemory`], the packed step schedule and the per-lane results.
-/// Allocating them per cohort is pure overhead once a sweep runs tens of
-/// thousands of cohorts, so [`run_march_lanes_scratch`] takes them from
-/// this scratch instead: every buffer is cleared and regrown in place, and
-/// a scratch reused across cohorts only allocates when a cohort is larger
-/// than any before it. Sweeps keep one `LaneScratch` per worker inside the
-/// pool's [`WorkerScratch`](crate::parallel::WorkerScratch).
+/// involved sets, the sorted union, per-slot ownership masks, the union
+/// in walk-position order, the sparse [`LaneMemory`], the packed step
+/// schedule and the per-lane results. Allocating them per cohort is pure
+/// overhead once a sweep runs tens of thousands of cohorts, so
+/// [`run_march_lanes_scratch`] takes them from this scratch instead: every
+/// buffer is cleared and regrown in place, and a scratch reused across
+/// cohorts only allocates when a cohort is larger than any before it.
+/// Sweeps keep one `LaneScratch` per worker inside the pool's
+/// [`WorkerScratch`](crate::parallel::WorkerScratch).
 ///
 /// A `LaneScratch` carries no cohort state between runs — reusing one is
 /// observationally identical to constructing a fresh one per call (the
@@ -684,11 +706,14 @@ pub struct LaneScratch {
     union: Vec<Address>,
     /// Per-union-slot mask of the lanes whose fault involves the address.
     owned_masks: Vec<u64>,
+    /// The union's walk position keys (⇑ position | slot), ascending.
+    by_position: Vec<u64>,
     /// The sparse lane store, retargeted per cohort via
     /// [`LaneMemory::reset_sorted`]. `None` until the first run.
     memory: Option<LaneMemory>,
-    /// Packed dispatch schedule (see [`run_march_lanes`]'s entry layout).
-    schedule: Vec<u64>,
+    /// Packed dispatch schedule, one `u32` per step in execution order:
+    /// element (bits 16–31) | union slot (bits 8–15) | code byte (0–7).
+    schedule: Vec<u32>,
     /// Per-lane outcomes of the most recent run.
     results: Vec<LaneDetection>,
 }
@@ -780,39 +805,27 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
         .results
         .resize(lanes.len(), LaneDetection::default());
     // The cohort's dispatch schedule: every walk step touching a union
-    // address, ascending, pre-tagged with its union slot and packed
-    // payload. Each step touches exactly one address, so the per-address
-    // CSR slices are disjoint and a gather-and-sort replaces both a
-    // head-minimum merge and a per-step binary search over the union;
-    // carrying the payload keeps the dispatch loop entirely off the
-    // execution-ordered step array, whose scattered megabit-walk loads
-    // would otherwise be one cache miss per step. Each entry packs into
-    // one `u64` — step index (32) | element (16) | slot (8) | code (8) —
-    // so ordering the schedule is a plain integer sort and step indices
-    // are unique, making the order total.
-    scratch.schedule.clear();
-    scratch.schedule.reserve(
+    // address, in execution order, tagged with its union slot and code
+    // byte. Ordering the union by walk position (at most
+    // `COHORT_ADDRESS_BUDGET` keys) is the only sort.
+    scratch.by_position.clear();
+    scratch.by_position.extend(
         union
             .iter()
-            .map(|&address| walk.steps_touching(address).len())
-            .sum(),
+            .enumerate()
+            .map(|(slot, &address)| walk.position_key(address, slot as u32)),
     );
-    for (slot, &address) in union.iter().enumerate() {
-        let indices = walk.steps_touching(address);
-        let payloads = walk.step_payloads_touching(address);
-        scratch
-            .schedule
-            .extend(indices.iter().zip(payloads).map(|(&index, &payload)| {
-                u64::from(index) << 32
-                    | u64::from(payload & 0xFFFF_0000)
-                    | (slot as u64) << 8
-                    | u64::from(payload & 0xFF)
-            }));
-    }
-    scratch.schedule.sort_unstable();
+    scratch.by_position.sort_unstable();
+    let schedule = &mut scratch.schedule;
+    schedule.clear();
+    schedule.reserve(union.len() * walk.ops_per_address());
+    walk.try_for_each_step_at(&scratch.by_position, |_, element, slot, code| {
+        schedule.push((element as u32) << 16 | slot << 8 | u32::from(code));
+        true
+    });
     for &entry in &scratch.schedule {
         let code = entry as u8;
-        let element = (entry >> 16) as u16;
+        let element = (entry >> 16) as usize;
         let slot = (entry >> 8) as u8 as usize;
         let address = union[slot];
         if code & READ_BIT == 0 {
@@ -842,7 +855,7 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
                 while fresh != 0 {
                     let lane = fresh.trailing_zeros() as usize;
                     scratch.results[lane].first_mismatch = Some(Mismatch {
-                        element: usize::from(element),
+                        element,
                         address,
                         expected,
                         observed: observed >> lane & 1 == 1,
@@ -897,30 +910,13 @@ pub fn run_march_walk_filtered<M: MemoryModel + ?Sized>(
     involved: &[Address],
 ) -> MarchResult {
     let mut mismatches = Vec::new();
-    for &index in merged_step_indices(walk, involved).iter() {
-        let step = &walk.steps[index as usize];
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else {
-            let expected = step.code & VALUE_BIT != 0;
-            let observed = memory.read(address);
-            if observed != expected {
-                mismatches.push(Mismatch {
-                    element: usize::from(step.element),
-                    address,
-                    expected,
-                    observed,
-                });
-            }
+    try_for_each_involved_step(walk, involved, |_, element, address, code| {
+        if let Some(mismatch) = apply_step(memory, element, address, code) {
+            mismatches.push(mismatch);
         }
-    }
-    MarchResult {
-        mismatches,
-        operations: walk.reads + walk.writes,
-        reads: walk.reads,
-        writes: walk.writes,
-    }
+        true
+    });
+    full_walk_result(walk, mismatches)
 }
 
 /// Early-exit variant of [`run_march_walk_filtered`]: runs only the steps
@@ -931,16 +927,9 @@ pub fn run_march_until_detected_filtered<M: MemoryModel + ?Sized>(
     memory: &mut M,
     involved: &[Address],
 ) -> bool {
-    for &index in merged_step_indices(walk, involved).iter() {
-        let step = &walk.steps[index as usize];
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else if memory.read(address) != (step.code & VALUE_BIT != 0) {
-            return true;
-        }
-    }
-    false
+    !try_for_each_involved_step(walk, involved, |_, element, address, code| {
+        apply_step(memory, element, address, code).is_none()
+    })
 }
 
 /// Runs `test` on `memory` and reports every read mismatch.
@@ -962,6 +951,7 @@ pub fn run_march(
 mod tests {
     use super::*;
     use crate::address_order::{ColumnMajor, PseudoRandomOrder, WordLineAfterWordLine};
+    use crate::element::MarchElement;
     use crate::faults::{standard_fault_list, FaultyMemory};
     use crate::library;
     use crate::memory::GoodMemory;
@@ -1173,32 +1163,27 @@ mod tests {
     }
 
     #[test]
-    fn steps_touching_partitions_the_walk() {
+    fn per_address_steps_partition_the_walk() {
         let organization = org();
         let test = library::march_ss();
         let walk = MarchWalk::new(&test, &ColumnMajor, &organization);
-        let mut seen = 0usize;
+        let steps: Vec<MarchStep> = walk.steps().collect();
+        let mut seen: Vec<u32> = Vec::new();
         for raw in 0..organization.capacity() {
-            let indices = walk.steps_touching(Address::new(raw));
-            let payloads = walk.step_payloads_touching(Address::new(raw));
+            let indices = merged_step_indices(&walk, &[Address::new(raw)]);
             assert_eq!(indices.len(), test.operation_count());
-            assert_eq!(payloads.len(), indices.len(), "payloads align with indices");
             assert!(indices.windows(2).all(|w| w[0] < w[1]), "ascending order");
-            for (&index, &payload) in indices.iter().zip(payloads) {
-                let step = walk.steps().nth(index as usize).unwrap();
-                assert_eq!(step.address, Address::new(raw));
-                // The packed payload must reproduce the step exactly.
-                assert_eq!((payload >> 16) as usize, step.element);
-                assert_eq!((payload >> 8 & 0xFF) as usize, step.op_index);
-                assert_eq!(decode_op(payload as u8), step.op);
-                assert_eq!(
-                    payload as u8 & LAST_ON_ADDRESS != 0,
-                    step.last_op_on_address
-                );
-            }
-            seen += indices.len();
+            assert!(indices
+                .iter()
+                .all(|&index| steps[index as usize].address == Address::new(raw)));
+            seen.extend(indices);
         }
-        assert_eq!(seen, walk.len(), "every step belongs to exactly one cell");
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..walk.len() as u32).collect::<Vec<u32>>(),
+            "every step belongs to exactly one cell"
+        );
     }
 
     #[test]
@@ -1206,57 +1191,52 @@ mod tests {
         let organization = org();
         let test = library::march_ss();
         let walk = MarchWalk::new(&test, &ColumnMajor, &organization);
-        // Empty set: empty borrowed schedule.
         assert!(merged_step_indices(&walk, &[]).is_empty());
-        // Single address: the CSR slice itself, borrowed.
+        // One address: the test's operation count, ascending, each step
+        // touching that address.
         let single = merged_step_indices(&walk, &[Address::new(5)]);
-        assert!(matches!(single, FilteredSteps::Borrowed(_)));
-        assert_eq!(&*single, walk.steps_touching(Address::new(5)));
+        assert_eq!(single.len(), walk.ops_per_address());
+        assert_eq!(walk.ops_per_address(), test.operation_count());
+        assert!(single.windows(2).all(|w| w[0] < w[1]));
+        let steps: Vec<MarchStep> = walk.steps().collect();
+        assert!(single
+            .iter()
+            .all(|&index| steps[index as usize].address == Address::new(5)));
         // Several addresses (duplicates included): ascending, deduplicated
-        // union of their slices.
+        // union of the single-address schedules.
         let involved = [Address::new(5), Address::new(2), Address::new(5)];
         let merged = merged_step_indices(&walk, &involved);
-        assert!(matches!(merged, FilteredSteps::Merged(_)));
-        let mut expected: Vec<u32> = walk
-            .steps_touching(Address::new(2))
-            .iter()
-            .chain(walk.steps_touching(Address::new(5)))
-            .copied()
-            .collect();
+        let mut expected = merged_step_indices(&walk, &[Address::new(2)]);
+        expected.extend(single);
         expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(&*merged, expected.as_slice());
+        assert_eq!(merged, expected);
         // The whole array merges back into every step exactly once.
         let all: Vec<Address> = (0..organization.capacity()).map(Address::new).collect();
         let complete = merged_step_indices(&walk, &all);
-        assert_eq!(complete.len(), walk.len());
-        assert!(complete.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(complete, (0..walk.len() as u32).collect::<Vec<u32>>());
+    }
+
+    /// The sensed-before stamp of every step, in execution order (`None`
+    /// for writes).
+    fn sensed_stamps(walk: &MarchWalk) -> Vec<Option<bool>> {
+        (0..walk.len() as u32)
+            .map(|index| {
+                let code = walk.step(index).3;
+                (code & READ_BIT != 0).then_some(code & SENSED_BEFORE != 0)
+            })
+            .collect()
     }
 
     #[test]
     fn sensed_before_stamp_tracks_the_latest_distinct_read() {
-        use crate::element::MarchElement;
-
         // One cell-pair walk with back-to-back reads: ⇑(w0); ⇑(r0,r0,w1,r1)
         // over two cells. The stamp of a read must be the expected value of
         // the latest earlier read at a *different* address (0 when none) —
         // exactly the bit-line history a stuck-open victim observes.
         let organization = ArrayOrganization::new(1, 2).unwrap();
-        let test = MarchTest::new(
-            "rr",
-            vec![
-                MarchElement::ascending(vec![MarchOp::W0]),
-                MarchElement::ascending(vec![MarchOp::R0, MarchOp::R0, MarchOp::W1, MarchOp::R1]),
-            ],
-        );
-        let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-        let sensed: Vec<Option<bool>> = walk
-            .steps
-            .iter()
-            .map(|step| (step.code & READ_BIT != 0).then_some(step.code & SENSED_BEFORE != 0))
-            .collect();
+        let walk = MarchWalk::new(&back_to_back_reads(), &WordLineAfterWordLine, &organization);
         assert_eq!(
-            sensed,
+            sensed_stamps(&walk),
             vec![
                 None,        // w0 @0
                 None,        // w0 @1
@@ -1271,6 +1251,311 @@ mod tests {
             ],
             "sensed-before stamps"
         );
+    }
+
+    fn back_to_back_reads() -> MarchTest {
+        MarchTest::new(
+            "rr",
+            vec![
+                MarchElement::ascending(vec![MarchOp::W0]),
+                MarchElement::ascending(vec![MarchOp::R0, MarchOp::R0, MarchOp::W1, MarchOp::R1]),
+            ],
+        )
+    }
+
+    /// Hand-built tests for the closed form's edge cases.
+    fn edge_tests() -> Vec<MarchTest> {
+        vec![
+            back_to_back_reads(),
+            // A ⇓ element followed by a ⇑ one, and back: consecutive
+            // elements start on the address the previous one ended on.
+            MarchTest::new(
+                "down-up",
+                vec![
+                    MarchElement::ascending(vec![MarchOp::W1]),
+                    MarchElement::descending(vec![MarchOp::R1, MarchOp::W0]),
+                    MarchElement::ascending(vec![MarchOp::R0, MarchOp::W1, MarchOp::R1]),
+                    MarchElement::descending(vec![MarchOp::R1]),
+                ],
+            ),
+            // Elements without reads between reading ones, and a walk
+            // ending in writes.
+            MarchTest::new(
+                "read-free",
+                vec![
+                    MarchElement::either(vec![MarchOp::W0]),
+                    MarchElement::descending(vec![MarchOp::W1, MarchOp::W0]),
+                    MarchElement::ascending(vec![MarchOp::R0, MarchOp::W1, MarchOp::R1]),
+                    MarchElement::descending(vec![MarchOp::W0]),
+                    MarchElement::ascending(vec![MarchOp::W1]),
+                    MarchElement::descending(vec![MarchOp::R1, MarchOp::R1]),
+                    MarchElement::either(vec![MarchOp::W0, MarchOp::W1]),
+                ],
+            ),
+            // A read before any write: not locality safe.
+            MarchTest::new(
+                "reads-first",
+                vec![
+                    MarchElement::ascending(vec![MarchOp::R0, MarchOp::W1]),
+                    MarchElement::descending(vec![MarchOp::R1]),
+                ],
+            ),
+            // No reads at all.
+            MarchTest::new(
+                "writes-only",
+                vec![
+                    MarchElement::ascending(vec![MarchOp::W0, MarchOp::W1]),
+                    MarchElement::descending(vec![MarchOp::W0]),
+                ],
+            ),
+        ]
+    }
+
+    /// The materializing walk builder the closed form replaced, kept as
+    /// the reference: one entry per operation per cell, the
+    /// sensed-before stamp from a stateful scan of the whole walk, and a
+    /// per-address bucketing of `(index, element, op index, code)`.
+    struct Materialized {
+        steps: Vec<(MarchStep, u8)>,
+        by_address: Vec<Vec<(u32, usize, usize, u8)>>,
+        reads: u64,
+        writes: u64,
+    }
+
+    fn materialize(
+        test: &MarchTest,
+        order: &dyn AddressOrder,
+        organization: &ArrayOrganization,
+    ) -> Materialized {
+        let plan = AddressPlan::new(order, organization);
+        let mut steps = Vec::new();
+        let (mut reads, mut writes) = (0u64, 0u64);
+        // The most recent read (address, expected value) and the expected
+        // value of the most recent read at a different address than it.
+        let mut last_read: Option<(Address, bool)> = None;
+        let mut prior_distinct = false;
+        for (element_index, element) in test.elements().iter().enumerate() {
+            let ops = element.ops();
+            for (position, address) in plan.iter(element.direction()).enumerate() {
+                for (op_index, &op) in ops.iter().enumerate() {
+                    let mut code = op_code(op);
+                    if let Some(expected) = op.expected_value() {
+                        reads += 1;
+                        let sensed = match last_read {
+                            Some((last, _)) if last == address => prior_distinct,
+                            Some((_, value)) => value,
+                            None => false,
+                        };
+                        if sensed {
+                            code |= SENSED_BEFORE;
+                        }
+                        if let Some((last, value)) = last_read {
+                            if last != address {
+                                prior_distinct = value;
+                            }
+                        }
+                        last_read = Some((address, expected));
+                    } else {
+                        writes += 1;
+                    }
+                    let last_op_on_address = op_index == ops.len() - 1;
+                    let last_op_of_element = last_op_on_address && position == plan.len() - 1;
+                    if last_op_on_address {
+                        code |= LAST_ON_ADDRESS;
+                    }
+                    if last_op_of_element {
+                        code |= LAST_OF_ELEMENT;
+                    }
+                    let step = MarchStep {
+                        element: element_index,
+                        op_index,
+                        address,
+                        op,
+                        last_op_on_address,
+                        last_op_of_element,
+                    };
+                    steps.push((step, code));
+                }
+            }
+        }
+        let mut by_address = vec![Vec::new(); organization.capacity() as usize];
+        for (index, (step, code)) in steps.iter().enumerate() {
+            by_address[step.address.value() as usize].push((
+                index as u32,
+                step.element,
+                step.op_index,
+                *code,
+            ));
+        }
+        Materialized {
+            steps,
+            by_address,
+            reads,
+            writes,
+        }
+    }
+
+    /// A memory that records every access as `(address, written value or
+    /// None for a read)`, reading back the stored value.
+    struct Recorder {
+        cells: Vec<bool>,
+        log: Vec<(Address, Option<bool>)>,
+    }
+
+    impl MemoryModel for Recorder {
+        fn capacity(&self) -> u32 {
+            self.cells.len() as u32
+        }
+        fn read(&mut self, address: Address) -> bool {
+            self.log.push((address, None));
+            self.cells[address.value() as usize]
+        }
+        fn write(&mut self, address: Address, value: bool) {
+            self.log.push((address, Some(value)));
+            self.cells[address.value() as usize] = value;
+        }
+    }
+
+    fn assert_matches_oracle(
+        test: &MarchTest,
+        order: &dyn AddressOrder,
+        organization: &ArrayOrganization,
+    ) {
+        let context = format!("{} / {} / {organization:?}", test.name(), order.name());
+        let walk = MarchWalk::new(test, order, organization);
+        let oracle = materialize(test, order, organization);
+        assert_eq!(walk.len(), oracle.steps.len(), "{context}: len");
+        assert_eq!(walk.reads(), oracle.reads, "{context}: reads");
+        assert_eq!(walk.writes(), oracle.writes, "{context}: writes");
+        // Locality safety, replayed symbolically over the materialized
+        // steps: every read finds its expected value last written there.
+        let mut cells = vec![None; organization.capacity() as usize];
+        let locality_safe = oracle.steps.iter().all(|(step, _)| {
+            let cell = &mut cells[step.address.value() as usize];
+            match step.op.write_value() {
+                Some(value) => {
+                    *cell = Some(value);
+                    true
+                }
+                None => *cell == step.op.expected_value(),
+            }
+        });
+        assert_eq!(walk.locality_safe(), locality_safe, "{context}: locality");
+        assert!(
+            walk.steps()
+                .zip(&oracle.steps)
+                .all(|(step, (expected, _))| step == *expected),
+            "{context}: steps()"
+        );
+        // The per-step codes, sensed-before stamps included.
+        assert!(
+            (0..walk.len() as u32)
+                .all(|index| walk.step(index).3 == oracle.steps[index as usize].1),
+            "{context}: step codes"
+        );
+        // The full-walk runner visits the same accesses in the same order.
+        let mut recorder = Recorder {
+            cells: vec![false; organization.capacity() as usize],
+            log: Vec::new(),
+        };
+        run_march_walk(&walk, &mut recorder);
+        let expected_log: Vec<(Address, Option<bool>)> = oracle
+            .steps
+            .iter()
+            .map(|(step, _)| (step.address, step.op.write_value()))
+            .collect();
+        assert_eq!(
+            recorder.log, expected_log,
+            "{context}: run_march_walk order"
+        );
+        // Per address: the ascending index list and the payload of every
+        // step, through the position-keyed visitor the cohort kernel uses.
+        for (raw, expected) in oracle.by_address.iter().enumerate() {
+            let address = Address::new(raw as u32);
+            let mut visited = Vec::new();
+            walk.try_for_each_step_at(
+                &[walk.position_key(address, 7)],
+                |index, element, tag, code| {
+                    assert_eq!(tag, 7);
+                    let (_, op_index, at, _) = walk.step(index);
+                    assert_eq!(at, address, "{context}: step {index} address");
+                    visited.push((index, element, op_index, code));
+                    true
+                },
+            );
+            assert_eq!(&visited, expected, "{context}: address {raw}");
+            let indices: Vec<u32> = expected.iter().map(|entry| entry.0).collect();
+            assert_eq!(
+                merged_step_indices(&walk, &[address]),
+                indices,
+                "{context}: address {raw}"
+            );
+        }
+        // Several addresses, unsorted: the ascending union of their steps.
+        let subset: Vec<Address> = (0..organization.capacity())
+            .rev()
+            .filter(|raw| raw % 3 != 1)
+            .map(Address::new)
+            .collect();
+        let mut union: Vec<u32> = subset
+            .iter()
+            .flat_map(|address| oracle.by_address[address.value() as usize].iter())
+            .map(|entry| entry.0)
+            .collect();
+        union.sort_unstable();
+        assert_eq!(
+            merged_step_indices(&walk, &subset),
+            union,
+            "{context}: union"
+        );
+    }
+
+    #[test]
+    fn closed_form_walk_equals_the_materialized_oracle() {
+        let shapes = [(1, 1), (1, 2), (2, 1), (3, 7), (4, 4), (64, 64)];
+        let mut tests = library::all_algorithms();
+        tests.extend(edge_tests());
+        for (rows, cols) in shapes {
+            let organization = ArrayOrganization::new(rows, cols).unwrap();
+            let mut orders: Vec<Box<dyn AddressOrder>> =
+                vec![Box::new(WordLineAfterWordLine), Box::new(ColumnMajor)];
+            orders.extend(
+                [1, 7, 0xDEAD_BEEF]
+                    .map(|seed| Box::new(PseudoRandomOrder::new(seed)) as Box<dyn AddressOrder>),
+            );
+            for test in &tests {
+                for order in &orders {
+                    assert_matches_oracle(test, order.as_ref(), &organization);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_visits_the_shared_boundary_address_of_a_direction_change() {
+        // ⇑ then ⇓ then ⇑: each element starts on the cell the previous
+        // one ended on, so the first read of the new element must stamp
+        // the previous element's last read (seen at its second-to-last
+        // cell), not its own cell's history.
+        let organization = ArrayOrganization::new(1, 3).unwrap();
+        let test = &edge_tests()[1];
+        let walk = MarchWalk::new(test, &WordLineAfterWordLine, &organization);
+        let addresses: Vec<u32> = walk.steps().map(|step| step.address.value()).collect();
+        assert_eq!(
+            addresses,
+            vec![0, 1, 2, 2, 2, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0]
+        );
+        let stamps = sensed_stamps(&walk);
+        // ⇓(r1,w0) at @2: latest distinct read — none yet.
+        assert_eq!(stamps[3], Some(false));
+        // ⇓(r1,w0) at @0: the latest read elsewhere is r1 @1.
+        assert_eq!(stamps[7], Some(true));
+        // ⇑(r0,w1,r1) at @0, where the ⇓ element ended: its own r1 @0 is
+        // skipped, r1 @1 before it counts.
+        assert_eq!(stamps[9], Some(true));
+        // ⇓(r1) at @2: the ⇑ element ended with r1 at @2 itself, but r1 @1
+        // precedes it.
+        assert_eq!(stamps[18], Some(true));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! go one step further through the lane-batched backend
 //! ([`crate::batch`]), which amortises a single walk dispatch over up to
 //! sixty-four faults and falls back to this per-fault path — the golden
-//! reference — for faults it cannot batch. The involved-step schedule
-//! both paths filter by is built by one shared helper,
-//! [`crate::executor::merged_step_indices`].
+//! reference — for faults it cannot batch. Both paths compute the
+//! involved-step schedule they filter by with the same walk arithmetic,
+//! which [`crate::executor::merged_step_indices`] exposes.
 
 use sram_model::config::ArrayOrganization;
 

@@ -31,10 +31,12 @@
 //! The hot path is organised as a measured kernel with five ingredients:
 //!
 //! 1. **Walk caching** ([`executor::MarchWalk`], [`executor::AddressPlan`])
-//!    — the `(test, order, organization)` traversal is flattened once into
-//!    a compact 8-byte-per-step array and shared, read-only, across every
-//!    fault of a sweep; the ⇑ address permutation is materialised once and
-//!    serves ⇓ by index arithmetic. Nothing allocates per fault.
+//!    — the `(test, order, organization)` traversal is described once in
+//!    closed form (the ⇑ address permutation, its inverse and one
+//!    descriptor per March element; ⇓ is served by index arithmetic) and
+//!    shared, read-only, across every fault of a sweep. Steps are
+//!    computed on demand, never stored, so a walk costs two `u32`s per
+//!    cell whatever the test length. Nothing allocates per fault.
 //! 2. **Bit-packed memory** ([`memory::GoodMemory`]) — cells live in
 //!    `u64` words (64 per word) and [`memory::GoodMemory::fill`] resets the
 //!    array with a few word stores, so one scratch allocation serves an

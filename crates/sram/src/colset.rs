@@ -71,7 +71,9 @@ impl ColumnSet {
         let bit = 1u64 << (col % 64);
         let added = *word & bit == 0;
         *word |= bit;
-        self.len += u32::from(added);
+        if added {
+            self.len += 1;
+        }
         added
     }
 
@@ -85,7 +87,9 @@ impl ColumnSet {
         let bit = 1u64 << (col % 64);
         let removed = *word & bit != 0;
         *word &= !bit;
-        self.len -= u32::from(removed);
+        if removed {
+            self.len -= 1;
+        }
         removed
     }
 
