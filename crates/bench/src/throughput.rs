@@ -36,8 +36,9 @@
 //! free) and a **boxed-dispatch replica** whose faults hide their inline
 //! [`LaneFaultKind`](march_test::faults::LaneFaultKind) and ride the
 //! `Box<dyn LaneFault>` escape hatch (`speedup_enum_vs_boxed` — what
-//! devirtualizing the lane hot path buys). All ratios are
-//! machine-relative and carry the tight CI gate.
+//! lowering enum cohorts to lane masks buys over per-owner boxed
+//! dispatch). All ratios are machine-relative and carry the tight CI
+//! gate.
 
 use std::time::{Duration, Instant};
 
@@ -75,10 +76,11 @@ pub const DENSE_SHUFFLE_SEED: u64 = 0x005A_FF1E;
 /// [`march_test::faults::LaneFaultKind`] and exposes only the boxed
 /// [`Fault::lane_form`] — the external-fault escape hatch, instantiated
 /// here as a measured ablation. A population wrapped in this rides
-/// `Cohort::BoxedLanes` (virtual dispatch, one heap allocation per lane
-/// form) through the *same* kernel as the inline enum cohorts, so the
-/// `speedup_enum_vs_boxed` ratio isolates exactly what devirtualization
-/// buys.
+/// `Cohort::BoxedLanes` (the per-owner kernel: one virtual call per
+/// owner lane and step, one heap allocation per lane form) while the
+/// inline enum cohorts run the word-parallel mask kernel, so the
+/// `speedup_enum_vs_boxed` ratio measures mask lowering against
+/// per-owner boxed dispatch.
 #[derive(Debug)]
 struct BoxedDispatch(Box<dyn Fault>);
 
@@ -358,7 +360,7 @@ pub struct DenseSweepSection {
     /// ablation.
     pub dense_shuffled: SweepTiming,
     /// The same population forced through the boxed `Box<dyn LaneFault>`
-    /// escape hatch, serial — the devirtualization ablation.
+    /// escape hatch, serial — the per-owner dispatch ablation.
     pub boxed: SweepTiming,
     /// The packer-vs-greedy schedule comparison on an overlap-heavy
     /// population.
@@ -384,10 +386,10 @@ impl DenseSweepSection {
         self.dense_shuffled.faults_per_sec / self.dense.faults_per_sec
     }
 
-    /// Inline-enum-dispatch throughput relative to the boxed
-    /// `Box<dyn LaneFault>` escape hatch on the same population —
-    /// machine-relative, `> 1.0` is the devirtualization win the refactor
-    /// exists for.
+    /// Mask-lowered enum cohort throughput relative to the per-owner
+    /// boxed `Box<dyn LaneFault>` escape hatch on the same population —
+    /// machine-relative, `> 1.0` is what lowering cohorts to lane masks
+    /// buys over per-owner virtual dispatch.
     pub fn speedup_enum_vs_boxed(&self) -> f64 {
         self.dense.faults_per_sec / self.boxed.faults_per_sec
     }

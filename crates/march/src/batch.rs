@@ -6,8 +6,8 @@
 //! the array capacity — per injected fault. The bit-packed store already
 //! holds sixty-four cells per word, and the batched backend turns that
 //! around: sixty-four *independent* faults ride one walk by giving each
-//! bit lane of a [`LaneMemory`] its own faulty universe
-//! ([`crate::executor::run_march_lanes`]).
+//! bit lane of a word per involved cell its own faulty universe
+//! ([`crate::executor::run_march_lane_masks`]).
 //!
 //! # Cohort lifecycle
 //!
@@ -29,10 +29,12 @@
 //!      │        kernel's native order — recording the fault→packed-slot
 //!      ▼        inverse permutation as it goes
 //!  packed lane array + per-cohort (start, len) ranges
-//!      │  execute: one run_march_lanes dispatch per cohort over its
-//!      │           slice of the packed array, its schedule computed
-//!      │           from the union's walk positions; detections land in
-//!      ▼           packed-order flat arrays (sequential writes)
+//!      │  execute: one run_march_lane_masks dispatch per cohort over
+//!      │           its slice of the packed array: the slice is lowered
+//!      │           to per-cell lane masks and pair ops, its schedule
+//!      │           computed from the union's walk positions, and every
+//!      │           step runs as whole-word u64 operations; detections
+//!      ▼           land in packed-order flat arrays (sequential writes)
 //!  packed detections  +  parked outcomes (boxed/serial, rare)
 //!      │  scatter: one list-order assembly pass reads each fault's
 //!      │           detection through the inverse permutation and its
@@ -53,12 +55,13 @@
 //!
 //! * a fault joins an **enum lane cohort** ([`Cohort::Lanes`]) when the
 //!   walk is [`MarchWalk::locality_safe`] and the fault provides a
-//!   [`Fault::lane_kind`] — its lane form stored inline, dispatched by a
-//!   match on plain data with no per-owner pointer chase;
+//!   [`Fault::lane_kind`] — its lane form stored inline and lowered to
+//!   lane masks by the word-parallel kernel;
 //! * a fault with no inline kind but a boxed [`Fault::lane_form`] (the
 //!   extensibility escape hatch for external fault types) joins a
-//!   **boxed cohort** ([`Cohort::BoxedLanes`]), which runs the same
-//!   generic kernel through virtual dispatch;
+//!   **boxed cohort** ([`Cohort::BoxedLanes`]), which runs the per-owner
+//!   kernel ([`crate::executor::run_march_lanes`]) through virtual
+//!   dispatch;
 //! * lane cohorts close at [`LaneMemory::LANES`] (64) members or at the
 //!   kernel's [`crate::executor::COHORT_ADDRESS_BUDGET`];
 //! * everything else (no lane form at all, an over-budget involved set,
@@ -71,8 +74,8 @@
 //! ([`MarchWalk::ops_per_address`] steps per address), so packing faults
 //! that **share addresses** into the same cohort shrinks the union. The
 //! default [`CohortPlanner::AddressAware`] packer clusters by involved
-//! addresses (kind-homogeneous within an address group, which keeps the
-//! kernel's per-owner match running the same arm in long runs) and never
+//! addresses (kind-homogeneous within an address group, so faults of one
+//! model on shared cells merge into one lowered pair op) and never
 //! plans a worse total schedule than list order — it keeps whichever
 //! grouping dispatches fewer steps; [`CohortPlanner::ListOrderGreedy`] is
 //! the PR 3 baseline, kept for comparison benchmarks. Because the
@@ -90,7 +93,7 @@
 
 use sram_model::address::Address;
 
-use crate::executor::{run_march_lanes_scratch, LaneScratch, MarchWalk};
+use crate::executor::{run_march_lane_masks, run_march_lanes_scratch, LaneScratch, MarchWalk};
 use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
 use crate::faults::{Fault, FaultFactory, FaultKind, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
@@ -106,7 +109,7 @@ pub enum Cohort {
     Lanes(Vec<usize>),
     /// Up to [`LaneMemory::LANES`] faults whose lane form is only
     /// available boxed ([`Fault::lane_form`] — the external-fault escape
-    /// hatch); same kernel, virtual dispatch.
+    /// hatch); the per-owner kernel, virtual dispatch.
     BoxedLanes(Vec<usize>),
     /// A fault that must run the per-fault path: its index in the planned
     /// fault list.
@@ -721,11 +724,10 @@ fn park_lane_outcome(
 /// permutation, so the result is identical to the per-fault path
 /// regardless of population order, scheduling or planner.
 ///
-/// The parallel path holds no locks on the hot path: workers copy each
-/// cohort's inline lane forms (16 bytes apiece) out of the shared packed
-/// array instead of taking mutex-guarded ownership of boxed forms, and
-/// the rare boxed/serial stragglers re-instantiate from the `Sync`
-/// factories inside the worker.
+/// The parallel path holds no locks on the hot path: the word-parallel
+/// kernel only reads a cohort's inline lane forms, so workers lower them
+/// straight from the shared packed array, and the rare boxed/serial
+/// stragglers re-instantiate from the `Sync` factories inside the worker.
 pub fn sweep_batched_with(
     walk: &MarchWalk,
     faults: &[FaultFactory],
@@ -781,7 +783,7 @@ where
     // from the dense kind array and records the inverse permutation —
     // two independent accesses per fault that pipeline across iterations.
     let PackedLanes {
-        lanes: mut packed_lanes,
+        lanes: packed_lanes,
         of_fault: packed_of_fault,
         ranges: lane_ranges,
     } = packed.unwrap_or_else(|| {
@@ -826,9 +828,9 @@ where
                     let (start, len) = lane_ranges[lane_cursor];
                     lane_cursor += 1;
                     let (start, len) = (start as usize, len as usize);
-                    let detections = run_march_lanes_scratch(
+                    let detections = run_march_lane_masks(
                         walk,
-                        &mut packed_lanes[start..start + len],
+                        &packed_lanes[start..start + len],
                         background,
                         mode,
                         &mut lane_scratch,
@@ -872,11 +874,10 @@ where
         }
     } else {
         // Lock-free fan-out: enum cohorts are read-only slices of the
-        // packed array, and each worker copies the (Copy, 16-byte) lane
-        // forms of a claimed cohort into its own buffer before running
-        // the kernel — ownership by copy, no mutexes. Boxed cohorts and
-        // serial singletons re-instantiate from their `Sync` factories
-        // inside the worker (both are rare by construction).
+        // packed array, which the kernel lowers in place — no copies, no
+        // mutexes. Boxed cohorts and serial singletons re-instantiate from
+        // their `Sync` factories inside the worker (both are rare by
+        // construction).
         enum Work<'a> {
             Lanes {
                 start: usize,
@@ -908,7 +909,6 @@ where
         }
         let tagged = par_chunk_flat_map_balanced_scratch(&work, threads, |chunk, worker| {
             let mut scratch: Option<GoodMemory> = None;
-            let mut local: Vec<LaneFaultKind> = Vec::new();
             let mut records: Vec<Record<O>> = Vec::new();
             // The kernel dispatch buffers live in the claiming worker's
             // pool scratch, so every chunk the worker claims — across the
@@ -917,15 +917,8 @@ where
             for item in chunk {
                 match item {
                     Work::Lanes { start, lanes } => {
-                        local.clear();
-                        local.extend_from_slice(lanes);
-                        let detections = run_march_lanes_scratch(
-                            walk,
-                            &mut local,
-                            background,
-                            mode,
-                            lane_scratch,
-                        );
+                        let detections =
+                            run_march_lane_masks(walk, lanes, background, mode, lane_scratch);
                         records.extend(detections.iter().enumerate().map(|(offset, detection)| {
                             Record::Lane {
                                 position: start + offset,

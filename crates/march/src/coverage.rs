@@ -36,8 +36,8 @@ pub enum SweepBackend {
     /// cohorts by the address-aware packer
     /// ([`CohortPlanner::AddressAware`]), lane forms stored inline as
     /// [`crate::faults::LaneFaultKind`] enum values executed in packed
-    /// order (match dispatch, no per-owner pointer chase), one walk
-    /// dispatch per cohort, serial fallback for the rest
+    /// order, one word-parallel walk dispatch per cohort (each cohort
+    /// lowered to per-cell lane masks), serial fallback for the rest
     /// ([`crate::batch::FaultBatch`]). The default.
     #[default]
     LaneBatched,
@@ -181,7 +181,7 @@ impl CoverageReport {
         for outcome in &self.outcomes {
             hasher.write(outcome.fault_name.as_bytes());
             hasher.write_u8(0xFE);
-            hasher.write(outcome.fault_kind.to_string().as_bytes());
+            hasher.write(outcome.fault_kind.as_str().as_bytes());
             hasher.write_u8(u8::from(outcome.detected));
             hasher.write_u64(outcome.mismatches as u64);
         }
@@ -189,10 +189,10 @@ impl CoverageReport {
     }
 
     /// Per-fault-kind `(detected, total)` counts.
-    pub fn by_kind(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut map: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    pub fn by_kind(&self) -> BTreeMap<&'static str, (usize, usize)> {
+        let mut map: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
         for outcome in &self.outcomes {
-            let entry = map.entry(outcome.fault_kind.to_string()).or_insert((0, 0));
+            let entry = map.entry(outcome.fault_kind.as_str()).or_insert((0, 0));
             entry.1 += 1;
             if outcome.detected {
                 entry.0 += 1;

@@ -113,7 +113,7 @@ impl OrderIndependenceReport {
             .by_kind()
             .into_iter()
             .filter(|(_, (detected, total))| detected == total)
-            .map(|(kind, _)| kind)
+            .map(|(kind, _)| kind.to_string())
             .collect()
     }
 
@@ -133,7 +133,7 @@ impl OrderIndependenceReport {
             let by_kind = report.by_kind();
             guaranteed.iter().all(|kind| {
                 by_kind
-                    .get(kind)
+                    .get(kind.as_str())
                     .map(|(detected, total)| detected == total)
                     .unwrap_or(false)
             })

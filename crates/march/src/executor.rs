@@ -17,7 +17,15 @@
 //!   variant for sweeps that only need the detected/missed bit — it stops
 //!   at the first mismatching read;
 //! * [`run_march`] keeps the original convenience signature by building a
-//!   throw-away walk internally.
+//!   throw-away walk internally;
+//! * the lane-batched sweep's *execute* stage runs up to sixty-four faults
+//!   per walk scan, one bit lane each. [`run_march_lane_masks`] is the
+//!   kernel every cohort of the crate's own fault models runs: it lowers
+//!   the cohort to per-cell lane masks once, then runs each step as a few
+//!   whole-word `u64` operations. [`run_march_lanes`] dispatches each
+//!   owner lane's [`LaneFault`] form per step instead; it is the path of
+//!   boxed (external) lane forms and the reference the masked kernel is
+//!   tested against.
 //!
 //! [`MarchWalk::steps`] exposes the same traversal as an iterator of
 //! [`MarchStep`]s so that higher layers (the low-power test engine in the
@@ -31,7 +39,8 @@ use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
 use crate::element::AddressDirection;
 use crate::fault_sim::DetectionMode;
-use crate::faults::LaneFault;
+use crate::faults::lowering::{splat, LoweredCohort};
+use crate::faults::{LaneFault, LaneFaultKind};
 use crate::memory::{LaneMemory, MemoryModel};
 use crate::operation::MarchOp;
 
@@ -597,7 +606,8 @@ fn try_for_each_involved_step(
     })
 }
 
-/// Per-lane outcome of a batched cohort run ([`run_march_lanes`]).
+/// Per-lane outcome of a batched cohort run ([`run_march_lane_masks`],
+/// [`run_march_lanes`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LaneDetection {
     /// Whether at least one read mismatched in this lane.
@@ -612,7 +622,7 @@ pub struct LaneDetection {
 }
 
 /// Largest number of distinct addresses one lane cohort may involve: the
-/// packed schedule entry of [`run_march_lanes`] keeps the union slot in
+/// packed schedule entry of both cohort kernels keeps the union slot in
 /// eight bits. [`crate::batch::FaultBatch`] closes cohorts before their
 /// summed involved sets can exceed this, so the limit only binds custom
 /// callers assembling cohorts by hand (today's fault models involve at
@@ -628,16 +638,17 @@ fn lane_mask(lanes: usize) -> u64 {
     }
 }
 
-/// Runs up to sixty-four faults through one walk scan, one bit lane each —
-/// the lane-batched sweep kernel.
+/// Runs up to sixty-four faults through one walk scan, one bit lane each,
+/// dispatching every owner lane's [`LaneFault`] form per step — the
+/// per-owner cohort kernel.
 ///
-/// The kernel is generic over the lane representation: cohorts of the
-/// crate's own fault models pass `&mut [LaneFaultKind]` — lane forms
-/// stored inline, every faulty dispatch a monomorphized match on plain
-/// enum data with no per-owner pointer chase — while the external-fault
-/// escape hatch passes `&mut [Box<dyn LaneFault>]` and pays virtual
-/// dispatch. Both instantiations run the identical algorithm, so their
-/// results are interchangeable.
+/// The kernel is generic over the lane representation. The sweep runs it
+/// for the external-fault escape hatch (`&mut [Box<dyn LaneFault>]`,
+/// virtual dispatch); cohorts of the crate's own models
+/// (`[LaneFaultKind]`) run the word-parallel [`run_march_lane_masks`]
+/// instead, which this kernel over the same models' per-lane specs is the
+/// reference for. Every instantiation runs the identical algorithm, so
+/// their results are interchangeable.
 ///
 /// Each element of `lanes` owns the bit lane of its position in the slice:
 /// a sparse [`LaneMemory`] over the cohort's merged involved addresses is
@@ -658,8 +669,6 @@ fn lane_mask(lanes: usize) -> u64 {
 /// locality-safe walk the steps outside a fault's involved set can neither
 /// mismatch nor influence its cells.
 ///
-/// [`LaneFaultKind`]: crate::faults::LaneFaultKind
-///
 /// # Panics
 ///
 /// Panics if `lanes` is empty or longer than [`LaneMemory::LANES`], if
@@ -678,14 +687,15 @@ pub fn run_march_lanes<L: LaneFault>(
     scratch.results
 }
 
-/// Reusable dispatch buffers of the lane-batched kernel.
+/// Reusable dispatch buffers of the cohort kernels.
 ///
 /// One cohort dispatch needs half a dozen transient arrays — the gathered
-/// involved sets, the sorted union, per-slot ownership masks, the union
-/// in walk-position order, the sparse [`LaneMemory`], the packed step
-/// schedule and the per-lane results. Allocating them per cohort is pure
-/// overhead once a sweep runs tens of thousands of cohorts, so
-/// [`run_march_lanes_scratch`] takes them from this scratch instead: every
+/// involved sets, the sorted union, per-slot ownership masks (or the
+/// lowered cohort and its word array), the union in walk-position order,
+/// the sparse [`LaneMemory`], the packed step schedule and the per-lane
+/// results. Allocating them per cohort is pure overhead once a sweep runs
+/// tens of thousands of cohorts, so [`run_march_lane_masks`] and
+/// [`run_march_lanes_scratch`] take them from this scratch instead: every
 /// buffer is cleared and regrown in place, and a scratch reused across
 /// cohorts only allocates when a cohort is larger than any before it.
 /// Sweeps keep one `LaneScratch` per worker inside the pool's
@@ -714,6 +724,11 @@ pub struct LaneScratch {
     /// Packed dispatch schedule, one `u32` per step in execution order:
     /// element (bits 16–31) | union slot (bits 8–15) | code byte (0–7).
     schedule: Vec<u32>,
+    /// The enum cohort lowered to per-slot masks
+    /// ([`run_march_lane_masks`]).
+    lowered: LoweredCohort,
+    /// One word per union slot of a lowered cohort; bit `l` is lane `l`.
+    words: Vec<u64>,
     /// Per-lane outcomes of the most recent run.
     results: Vec<LaneDetection>,
 }
@@ -724,8 +739,8 @@ impl LaneScratch {
         Self::default()
     }
 
-    /// Per-lane outcomes of the most recent [`run_march_lanes_scratch`]
-    /// call through this scratch (empty before the first).
+    /// Per-lane outcomes of the most recent cohort run through this
+    /// scratch (empty before the first).
     pub fn results(&self) -> &[LaneDetection] {
         &self.results
     }
@@ -798,34 +813,10 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
     }
     let memory = scratch.memory.as_mut().expect("just initialised");
     memory.fill(background);
-    let active = lane_mask(lanes.len());
-    let mut detected = 0u64;
-    scratch.results.clear();
-    scratch
-        .results
-        .resize(lanes.len(), LaneDetection::default());
-    // The cohort's dispatch schedule: every walk step touching a union
-    // address, in execution order, tagged with its union slot and code
-    // byte. Ordering the union by walk position (at most
-    // `COHORT_ADDRESS_BUDGET` keys) is the only sort.
-    scratch.by_position.clear();
-    scratch.by_position.extend(
-        union
-            .iter()
-            .enumerate()
-            .map(|(slot, &address)| walk.position_key(address, slot as u32)),
-    );
-    scratch.by_position.sort_unstable();
-    let schedule = &mut scratch.schedule;
-    schedule.clear();
-    schedule.reserve(union.len() * walk.ops_per_address());
-    walk.try_for_each_step_at(&scratch.by_position, |_, element, slot, code| {
-        schedule.push((element as u32) << 16 | slot << 8 | u32::from(code));
-        true
-    });
+    cohort_schedule(walk, union, &mut scratch.by_position, &mut scratch.schedule);
+    let mut tally = LaneTally::start(lanes.len(), &mut scratch.results);
     for &entry in &scratch.schedule {
         let code = entry as u8;
-        let element = (entry >> 16) as usize;
         let slot = (entry >> 8) as u8 as usize;
         let address = union[slot];
         if code & READ_BIT == 0 {
@@ -838,7 +829,6 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
             }
             memory.write_word_at(slot, value, scratch.owned_masks[slot]);
         } else {
-            let expected = code & VALUE_BIT != 0;
             let sensed_before = code & SENSED_BEFORE != 0;
             let mut observed = memory.word_at(slot);
             let mut owners = scratch.owned_masks[slot];
@@ -848,46 +838,189 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
                 observed = (observed & !(1u64 << lane)) | (u64::from(bit) << lane);
                 owners &= owners - 1;
             }
-            let expected_word = if expected { u64::MAX } else { 0 };
-            let miss = (observed ^ expected_word) & active;
-            if miss != 0 {
-                let mut fresh = miss & !detected;
-                while fresh != 0 {
-                    let lane = fresh.trailing_zeros() as usize;
-                    scratch.results[lane].first_mismatch = Some(Mismatch {
-                        element,
-                        address,
-                        expected,
-                        observed: observed >> lane & 1 == 1,
-                    });
-                    fresh &= fresh - 1;
-                }
-                detected |= miss;
-                match mode {
-                    DetectionMode::Full => {
-                        let mut each = miss;
-                        while each != 0 {
-                            let lane = each.trailing_zeros() as usize;
-                            scratch.results[lane].mismatches += 1;
-                            each &= each - 1;
-                        }
-                    }
-                    DetectionMode::FirstMismatch => {
-                        if (active & !detected).count_ones() == 0 {
-                            break;
-                        }
-                    }
-                }
+            if !tally.read(&mut scratch.results, entry, address, observed, mode) {
+                break;
             }
         }
     }
-    for (lane, result) in scratch.results.iter_mut().enumerate() {
-        result.detected = detected >> lane & 1 == 1;
-        if mode == DetectionMode::FirstMismatch {
-            result.mismatches = usize::from(result.detected);
+    tally.finish(&mut scratch.results, mode);
+    &scratch.results
+}
+
+/// Fills `schedule` with the cohort's dispatch schedule: every walk step
+/// touching an address of `union`, in execution order, packed as element
+/// (bits 16–31) | union slot (bits 8–15) | code byte (bits 0–7).
+/// Ordering the union by walk position (at most
+/// [`COHORT_ADDRESS_BUDGET`] keys, in `by_position`) is the only sort.
+fn cohort_schedule(
+    walk: &MarchWalk,
+    union: &[Address],
+    by_position: &mut Vec<u64>,
+    schedule: &mut Vec<u32>,
+) {
+    by_position.clear();
+    by_position.extend(
+        union
+            .iter()
+            .enumerate()
+            .map(|(slot, &address)| walk.position_key(address, slot as u32)),
+    );
+    by_position.sort_unstable();
+    schedule.clear();
+    schedule.reserve(union.len() * walk.ops_per_address());
+    walk.try_for_each_step_at(by_position, |_, element, slot, code| {
+        schedule.push((element as u32) << 16 | slot << 8 | u32::from(code));
+        true
+    });
+}
+
+/// Lane-wise detection state of one cohort run, shared by both cohort
+/// kernels.
+struct LaneTally {
+    /// One bit per lane of the cohort.
+    active: u64,
+    /// Lanes with at least one mismatching read so far.
+    detected: u64,
+}
+
+impl LaneTally {
+    /// Resets `results` to one default entry per lane.
+    fn start(lanes: usize, results: &mut Vec<LaneDetection>) -> Self {
+        results.clear();
+        results.resize(lanes, LaneDetection::default());
+        Self {
+            active: lane_mask(lanes),
+            detected: 0,
         }
     }
-    &scratch.results
+
+    /// Compares all lanes' `observed` values of the read scheduled as
+    /// `entry` at `address` against its expectation at once. Returns
+    /// `false` when the scan may stop: under
+    /// [`DetectionMode::FirstMismatch`], once every lane is detected.
+    #[inline]
+    fn read(
+        &mut self,
+        results: &mut [LaneDetection],
+        entry: u32,
+        address: Address,
+        observed: u64,
+        mode: DetectionMode,
+    ) -> bool {
+        let expected = entry & u32::from(VALUE_BIT) != 0;
+        let miss = (observed ^ splat(expected)) & self.active;
+        if miss == 0 {
+            return true;
+        }
+        let mut fresh = miss & !self.detected;
+        while fresh != 0 {
+            let lane = fresh.trailing_zeros() as usize;
+            results[lane].first_mismatch = Some(Mismatch {
+                element: (entry >> 16) as usize,
+                address,
+                expected,
+                observed: observed >> lane & 1 == 1,
+            });
+            fresh &= fresh - 1;
+        }
+        self.detected |= miss;
+        match mode {
+            DetectionMode::Full => {
+                let mut each = miss;
+                while each != 0 {
+                    results[each.trailing_zeros() as usize].mismatches += 1;
+                    each &= each - 1;
+                }
+                true
+            }
+            DetectionMode::FirstMismatch => self.active & !self.detected != 0,
+        }
+    }
+
+    /// Writes the detected flags (and, under
+    /// [`DetectionMode::FirstMismatch`], the capped counts) into `results`.
+    fn finish(self, results: &mut [LaneDetection], mode: DetectionMode) {
+        for (lane, result) in results.iter_mut().enumerate() {
+            result.detected = self.detected >> lane & 1 == 1;
+            if mode == DetectionMode::FirstMismatch {
+                result.mismatches = usize::from(result.detected);
+            }
+        }
+    }
+}
+
+/// Runs up to sixty-four of the crate's own faults through one walk scan,
+/// one bit lane each — the word-parallel kernel every enum cohort of the
+/// lane-batched sweep runs.
+///
+/// The cohort is first lowered, each model by the `lower` method next to
+/// its per-lane spec in [`crate::faults`]: a single-cell fault sets its
+/// lane bit in the masks of its cell's union slot, and a two-cell fault
+/// adds a small op holding its partner cell's slot. Every step of the
+/// cohort's schedule (the same steps [`merged_step_indices`] lists) then
+/// runs as a handful of `u64` operations on one word per union slot — no
+/// per-lane match and no address lookup. A write stores the written value
+/// in the passing lanes, the old value in the keeping lanes and the old
+/// value's complement in the write-disturb lanes, then runs the slot's
+/// ops; a read runs the slot's ops, forces the stuck lanes, and compares
+/// all lanes' observed bits against the expectation at once.
+///
+/// Per lane, the outcome is identical to [`run_march_lanes`] (the
+/// per-owner reference over the same models' [`LaneFault`] specs) and to
+/// the serial per-fault path.
+///
+/// Takes its buffers from `scratch`, exactly like
+/// [`run_march_lanes_scratch`], and returns the per-lane detections as a
+/// borrow of it.
+///
+/// # Panics
+///
+/// Panics if `lanes` is empty or longer than [`LaneMemory::LANES`], if
+/// `walk` is not [`MarchWalk::locality_safe`], or if the cohort's union
+/// spans more than [`COHORT_ADDRESS_BUDGET`] distinct addresses.
+pub fn run_march_lane_masks<'s>(
+    walk: &MarchWalk,
+    lanes: &[LaneFaultKind],
+    background: bool,
+    mode: DetectionMode,
+    scratch: &'s mut LaneScratch,
+) -> &'s [LaneDetection] {
+    assert!(
+        !lanes.is_empty() && lanes.len() <= LaneMemory::LANES,
+        "a cohort holds 1..=64 lanes"
+    );
+    assert!(
+        walk.locality_safe(),
+        "lane batching requires a locality-safe walk"
+    );
+    let LaneScratch {
+        by_position,
+        schedule,
+        lowered,
+        words,
+        results,
+        ..
+    } = scratch;
+    lowered.lower(lanes);
+    let union = lowered.union();
+    cohort_schedule(walk, union, by_position, schedule);
+    words.clear();
+    words.resize(union.len(), splat(background));
+    let mut tally = LaneTally::start(lanes.len(), results);
+    for &entry in schedule.iter() {
+        let code = entry as u8;
+        let slot = (entry >> 8) as u8 as usize;
+        if code & READ_BIT == 0 {
+            lowered.write(words, slot, code & VALUE_BIT != 0);
+        } else {
+            let observed = lowered.read(words, slot, code & SENSED_BEFORE != 0);
+            if !tally.read(results, entry, union[slot], observed, mode) {
+                break;
+            }
+        }
+    }
+    tally.finish(results, mode);
+    results
 }
 
 /// Runs only the steps of `walk` that touch one of the `involved`

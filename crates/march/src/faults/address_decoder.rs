@@ -2,6 +2,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::{LoweredCohort, PairKind};
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -68,6 +69,19 @@ impl Fault for AddressAliasFault {
 impl AddressAliasFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::two(self.aliased, self.target)
+    }
+
+    /// Word-parallel form of the lane spec below: the aliased cell keeps
+    /// its value on writes, which land on the target instead, and its
+    /// reads return the target's value. Target accesses are normal.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let target = cohort.slot(self.target);
+        let masks = cohort.masks_at(self.aliased);
+        masks.keep[0] |= lane;
+        masks.keep[1] |= lane;
+        let redirect = PairKind::Redirect { target };
+        cohort.on_write(self.aliased, lane, redirect);
+        cohort.on_read(self.aliased, lane, redirect);
     }
 }
 

@@ -2,6 +2,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::{LoweredCohort, PairKind};
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -82,6 +83,14 @@ impl Fault for CouplingInversionFault {
 impl CouplingInversionFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::two(self.aggressor, self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: an aggressor write in
+    /// the triggering direction inverts the victim.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let victim = cohort.slot(self.victim);
+        let rising = self.rising;
+        cohort.on_write(self.aggressor, lane, PairKind::Invert { victim, rising });
     }
 }
 
@@ -194,6 +203,17 @@ impl Fault for CouplingIdempotentFault {
 impl CouplingIdempotentFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::two(self.aggressor, self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: an aggressor write in
+    /// the triggering direction forces the victim.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let kind = PairKind::Force {
+            victim: cohort.slot(self.victim),
+            rising: self.rising,
+            forced: self.forced_value,
+        };
+        cohort.on_write(self.aggressor, lane, kind);
     }
 }
 
@@ -309,6 +329,21 @@ impl Fault for CouplingStateFault {
 impl CouplingStateFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::two(self.aggressor, self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: the coupling is
+    /// enforced after every write and before every read of either cell.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let kind = PairKind::Enforce {
+            aggressor: cohort.slot(self.aggressor),
+            victim: cohort.slot(self.victim),
+            state: self.aggressor_state,
+            forced: self.forced_value,
+        };
+        for cell in [self.aggressor, self.victim] {
+            cohort.on_write(cell, lane, kind);
+            cohort.on_read(cell, lane, kind);
+        }
     }
 
     fn enforce_lane(&self, memory: &mut LaneMemory, lane: u32) {

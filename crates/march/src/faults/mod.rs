@@ -19,6 +19,7 @@
 
 pub mod address_decoder;
 pub mod coupling;
+pub(crate) mod lowering;
 pub mod read_fault;
 pub mod stuck_at;
 pub mod stuck_open;
@@ -38,6 +39,7 @@ use sram_model::config::ArrayOrganization;
 use std::fmt;
 
 use crate::memory::{GoodMemory, LaneMemory, MemoryModel};
+use lowering::LoweredCohort;
 
 /// Broad classification of a fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,9 +69,13 @@ pub enum FaultKind {
     AddressDecoder,
 }
 
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl FaultKind {
+    /// The short class label (`"SAF"`, `"CFin"`, …) — what [`Display`]
+    /// prints, without allocating.
+    ///
+    /// [`Display`]: fmt::Display
+    pub fn as_str(&self) -> &'static str {
+        match self {
             FaultKind::StuckAt => "SAF",
             FaultKind::Transition => "TF",
             FaultKind::CouplingInversion => "CFin",
@@ -81,8 +87,13 @@ impl fmt::Display for FaultKind {
             FaultKind::StuckOpen => "SOF",
             FaultKind::WriteDisturb => "WDF",
             FaultKind::AddressDecoder => "AF",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -127,11 +138,11 @@ pub trait Fault: fmt::Debug {
     /// The inline lane-masked form of this fault for the batched
     /// multi-fault backend ([`crate::batch`]), or `None` when the fault
     /// has no [`LaneFaultKind`] variant. Every fault model of this crate
-    /// returns its variant; the cohort kernel then dispatches it by a
-    /// match on plain enum data — no per-owner pointer chase. The default
-    /// is the conservative `None`, which makes the
-    /// [`crate::batch::FaultBatch`] planner try [`Fault::lane_form`] and
-    /// finally fall back to a serial singleton cohort.
+    /// returns its variant; the word-parallel cohort kernel then lowers it
+    /// to lane masks once per cohort. The default is the conservative
+    /// `None`, which makes the [`crate::batch::FaultBatch`] planner try
+    /// [`Fault::lane_form`] and finally fall back to a serial singleton
+    /// cohort.
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         None
     }
@@ -141,10 +152,11 @@ pub trait Fault: fmt::Debug {
     /// add a [`LaneFaultKind`] variant. The returned object must
     /// reproduce this fault's behaviour exactly, confined to one bit lane
     /// of a [`LaneMemory`]; the planner batches such faults into separate
-    /// boxed cohorts that run the same (generic) kernel through virtual
-    /// dispatch. The default derives the form from [`Fault::lane_kind`],
-    /// so in-crate models need not implement it; a fault with neither
-    /// runs the per-fault path.
+    /// boxed cohorts that run the per-owner kernel
+    /// ([`crate::executor::run_march_lanes`]) through virtual dispatch.
+    /// The default derives the form from [`Fault::lane_kind`], so in-crate
+    /// models need not implement it; a fault with neither runs the
+    /// per-fault path.
     fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
         self.lane_kind()
             .map(|kind| Box::new(kind) as Box<dyn LaneFault>)
@@ -155,13 +167,16 @@ pub trait Fault: fmt::Debug {
 /// **inline** — the devirtualized counterpart of `Box<dyn LaneFault>`.
 ///
 /// Cohorts of the batched backend hold `Vec<LaneFaultKind>` instead of
-/// `Vec<Box<dyn LaneFault>>`, so the kernel's per-owner dispatch is a
-/// match on plain enum data sitting contiguously in the cohort array: no
-/// heap allocation per fault, no vtable pointer chase per step. The enum
-/// is `Copy` and intentionally small (a unit test pins
-/// `size_of::<LaneFaultKind>() <= 32`) so packed cohort arrays stay
-/// cache-dense; external fault types that cannot appear here use the
-/// boxed [`Fault::lane_form`] escape hatch instead.
+/// `Vec<Box<dyn LaneFault>>`: no heap allocation per fault, and because
+/// the set of models is closed, the word-parallel kernel
+/// ([`crate::executor::run_march_lane_masks`]) can lower a whole cohort
+/// to per-cell lane masks before it runs (each model's `lower` sits next
+/// to its per-lane spec). The [`LaneFault`] impl below keeps the enum
+/// usable by the per-owner reference kernel. The enum is `Copy` and
+/// intentionally small (a unit test pins `size_of::<LaneFaultKind>() <=
+/// 32`) so packed cohort arrays stay cache-dense; external fault types
+/// that cannot appear here use the boxed [`Fault::lane_form`] escape
+/// hatch instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LaneFaultKind {
@@ -263,6 +278,24 @@ impl LaneFaultKind {
             LaneFaultKind::StuckOpen(fault) => fault.lane_involved(),
             LaneFaultKind::WriteDisturb(fault) => fault.lane_involved(),
             LaneFaultKind::AddressDecoder(fault) => fault.lane_involved(),
+        }
+    }
+
+    /// Sets lane `lane` (a one-bit mask) of `cohort` to the wrapped
+    /// model's word-parallel form.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        match self {
+            LaneFaultKind::StuckAt(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::Transition(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::CouplingInversion(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::CouplingIdempotent(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::CouplingState(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::ReadDestructive(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::DeceptiveReadDestructive(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::IncorrectRead(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::StuckOpen(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::WriteDisturb(fault) => fault.lower(lane, cohort),
+            LaneFaultKind::AddressDecoder(fault) => fault.lower(lane, cohort),
         }
     }
 
@@ -651,6 +684,18 @@ mod tests {
         assert_eq!(FaultKind::StuckAt.to_string(), "SAF");
         assert_eq!(FaultKind::DeceptiveReadDestructive.to_string(), "DRDF");
         assert_eq!(FaultKind::AddressDecoder.to_string(), "AF");
+    }
+
+    #[test]
+    fn fault_kind_as_str_is_what_display_prints() {
+        let organization = ArrayOrganization::new(4, 4).unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for factory in standard_fault_list(&organization) {
+            let kind = factory().kind();
+            assert_eq!(kind.as_str(), kind.to_string());
+            seen.insert(kind.as_str());
+        }
+        assert_eq!(seen.len(), 11, "every class appears in the standard list");
     }
 
     #[test]

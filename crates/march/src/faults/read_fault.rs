@@ -8,6 +8,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::LoweredCohort;
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -60,6 +61,14 @@ impl Fault for ReadDestructiveFault {
 impl ReadDestructiveFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: a read complements the
+    /// cell and returns the complemented value.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let masks = cohort.masks_at(self.victim);
+        masks.read_invert |= lane;
+        masks.read_flip |= lane;
     }
 }
 
@@ -137,6 +146,12 @@ impl DeceptiveReadDestructiveFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
     }
+
+    /// Word-parallel form of the lane spec below: a read returns the
+    /// stored value and then complements the cell.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        cohort.masks_at(self.victim).read_flip |= lane;
+    }
 }
 
 impl LaneFault for DeceptiveReadDestructiveFault {
@@ -211,6 +226,12 @@ impl Fault for IncorrectReadFault {
 impl IncorrectReadFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: a read returns the
+    /// complement and leaves the cell intact.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        cohort.masks_at(self.victim).read_invert |= lane;
     }
 }
 

@@ -2,6 +2,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::LoweredCohort;
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -71,6 +72,17 @@ impl Fault for StuckAtFault {
 impl StuckAtFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: the victim's lane is
+    /// stuck on writes and reads alike.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let masks = cohort.masks_at(self.victim);
+        if self.stuck_value {
+            masks.stuck1 |= lane;
+        } else {
+            masks.stuck0 |= lane;
+        }
     }
 }
 

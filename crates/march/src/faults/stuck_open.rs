@@ -2,6 +2,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::LoweredCohort;
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -68,6 +69,15 @@ impl Fault for StuckOpenFault {
 impl StuckOpenFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: writes never reach the
+    /// cell, and reads return the sensed-before stamp.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        let masks = cohort.masks_at(self.victim);
+        masks.keep[0] |= lane;
+        masks.keep[1] |= lane;
+        masks.sensed |= lane;
     }
 }
 

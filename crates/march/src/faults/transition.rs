@@ -2,6 +2,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::LoweredCohort;
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -65,6 +66,13 @@ impl Fault for TransitionFault {
 impl TransitionFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: a write in the failing
+    /// direction leaves the old value (a write of the other value, or of
+    /// the value already held, stores normally).
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        cohort.masks_at(self.victim).keep[usize::from(self.up_fails)] |= lane;
     }
 }
 

@@ -2,6 +2,7 @@
 
 use sram_model::address::Address;
 
+use super::lowering::LoweredCohort;
 use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 
@@ -54,6 +55,13 @@ impl Fault for WriteDisturbFault {
 impl WriteDisturbFault {
     pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
         InvolvedAddresses::one(self.victim)
+    }
+
+    /// Word-parallel form of the lane spec below: a non-transition write
+    /// complements the cell and a transition write stores the complement
+    /// anyway, so every write leaves the complement of the old value.
+    pub(crate) fn lower(&self, lane: u64, cohort: &mut LoweredCohort) {
+        cohort.masks_at(self.victim).flip |= lane;
     }
 }
 

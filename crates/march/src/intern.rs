@@ -224,7 +224,7 @@ impl InternedSweep {
         for code in &self.codes {
             hasher.write(self.names.get(code.name).as_bytes());
             hasher.write_u8(0xFE);
-            hasher.write(code.kind.to_string().as_bytes());
+            hasher.write(code.kind.as_str().as_bytes());
             hasher.write_u8(u8::from(code.detected));
             hasher.write_u64(u64::from(code.mismatches));
         }

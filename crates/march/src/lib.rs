@@ -49,17 +49,22 @@
 //!    the sweep work fans out across scoped worker threads, one scratch
 //!    memory per worker, with outcomes reassembled in fault-list order so
 //!    parallel reports are byte-identical to serial ones.
-//! 5. **Lane batching** ([`batch::FaultBatch`], [`memory::LaneMemory`],
-//!    [`executor::run_march_lanes`]) — up to sixty-four independent
-//!    faults ride *one* walk dispatch, each owning a bit lane of a
-//!    sparse lane-parallel store whose fills and compares stay whole-word
-//!    `u64` operations; detection is lane-wise with mask popcounts
-//!    driving the per-lane early exit. Lane forms are stored **inline**
-//!    as [`faults::LaneFaultKind`] enum values (cohorts are
-//!    `Vec<LaneFaultKind>`, dispatched by a monomorphized match — no
-//!    per-owner `Box<dyn …>` pointer chase; the boxed
-//!    [`faults::Fault::lane_form`] survives as the extensibility escape
-//!    hatch for external fault types), and sweeps execute in **packed
+//! 5. **Lane batching** ([`batch::FaultBatch`],
+//!    [`executor::run_march_lane_masks`]) — up to sixty-four independent
+//!    faults ride *one* walk dispatch, each owning a bit lane of one
+//!    `u64` word per involved cell. Lane forms are stored **inline** as
+//!    [`faults::LaneFaultKind`] enum values, and each cohort is
+//!    **lowered** before it runs: every single-cell model sets its lane
+//!    bit in masks of its cell (stuck, keep-on-write, complement-on-write,
+//!    read-invert, read-flip, sensed-before), every two-cell model adds a
+//!    small op holding its partner cell's slot. Each walk step is then a
+//!    few whole-word `u64` operations with no per-lane dispatch and no
+//!    address lookup; detection is lane-wise with mask tests driving the
+//!    per-lane early exit. The per-owner kernel
+//!    ([`executor::run_march_lanes`] over a sparse
+//!    [`memory::LaneMemory`]) runs the boxed [`faults::Fault::lane_form`]
+//!    escape hatch for external fault types and is the reference the
+//!    masked kernel is tested against. Sweeps execute in **packed
 //!    order** with one streaming permutation for probes and outcomes, so
 //!    shuffled populations sweep at generation-ordered speed. Coverage
 //!    sweeps ride this backend by default and keep the per-fault path as

@@ -141,9 +141,11 @@ impl MemoryModel for GoodMemory {
 /// `LaneMemory` packs sixty-four *universes* of one cell: the word stored
 /// for an address holds that cell's value in every lane, so a fill or a
 /// read-compare against an expected value covers all lanes in a single
-/// `u64` operation. This is the substrate of the batched multi-fault
+/// `u64` operation. This is the substrate of the per-owner multi-fault
 /// kernel ([`crate::executor::run_march_lanes`]): each lane carries one
-/// injected fault, and sixty-four faults ride one walk.
+/// injected fault, and sixty-four faults ride one walk. (The
+/// word-parallel kernel that enum cohorts run keeps the same one word
+/// per involved cell in a plain array, indexed by resolved slots.)
 ///
 /// The store is sparse over the array: only the addresses the simulated
 /// cohort involves are tracked, because the batched kernel never
@@ -158,7 +160,7 @@ pub struct LaneMemory {
     /// One word per tracked address; bit `l` is the cell value in lane `l`.
     words: Vec<u64>,
     /// Open-addressed address→slot index: each non-zero entry packs
-    /// `(address + 1) << 32 | slot`. Every read/write of the batched
+    /// `(address + 1) << 32 | slot`. Every read/write of the per-owner
     /// kernel — including each lane fault's own cell accesses — resolves
     /// a slot, so the lookup is O(1) with one expected probe instead of a
     /// binary search over the union (whose dependent loads dominated

@@ -311,3 +311,277 @@ fn scratch_reuse_across_cohorts_matches_fresh_dispatches() {
         }
     }
 }
+
+// --- The word-parallel kernel against the per-owner reference ---------
+//
+// Every enum cohort of a sweep runs `run_march_lane_masks`, which lowers
+// the cohort to per-slot lane masks and pair ops. The per-owner kernel
+// (`run_march_lanes`, one `LaneFault` dispatch per owner lane and step)
+// is the reference: both must report identical `LaneDetection`s —
+// detected bit, mismatch count and first mismatch — lane for lane.
+
+mod masks {
+    use super::*;
+    use march_test::address_order::PseudoRandomOrder;
+    use march_test::executor::{run_march_lane_masks, LaneScratch};
+    use march_test::faultgen::FaultGen;
+    use march_test::faults::{
+        AddressAliasFault, CouplingIdempotentFault, CouplingStateFault,
+        DeceptiveReadDestructiveFault, IncorrectReadFault, LaneFaultKind, ReadDestructiveFault,
+        StuckOpenFault,
+    };
+    use march_test::rng::SplitMix64;
+
+    fn at(value: u32) -> Address {
+        Address::new(value)
+    }
+
+    /// The nine single-cell models on `cell`.
+    fn single_cell(cell: Address) -> Vec<LaneFaultKind> {
+        vec![
+            LaneFaultKind::StuckAt(StuckAtFault::new(cell, false)),
+            LaneFaultKind::StuckAt(StuckAtFault::new(cell, true)),
+            LaneFaultKind::Transition(TransitionFault::new(cell, true)),
+            LaneFaultKind::Transition(TransitionFault::new(cell, false)),
+            LaneFaultKind::StuckOpen(StuckOpenFault::new(cell)),
+            LaneFaultKind::WriteDisturb(WriteDisturbFault::new(cell)),
+            LaneFaultKind::ReadDestructive(ReadDestructiveFault::new(cell)),
+            LaneFaultKind::DeceptiveReadDestructive(DeceptiveReadDestructiveFault::new(cell)),
+            LaneFaultKind::IncorrectRead(IncorrectReadFault::new(cell)),
+        ]
+    }
+
+    /// Every two-cell model variant with aggressor (or aliased cell)
+    /// `first` and victim (or target) `second`: eleven lanes.
+    fn two_cell(first: Address, second: Address) -> Vec<LaneFaultKind> {
+        let mut lanes = vec![LaneFaultKind::AddressDecoder(AddressAliasFault::new(
+            first, second,
+        ))];
+        for flag in [false, true] {
+            lanes.push(LaneFaultKind::CouplingInversion(
+                CouplingInversionFault::new(first, second, flag),
+            ));
+            for forced in [false, true] {
+                lanes.push(LaneFaultKind::CouplingIdempotent(
+                    CouplingIdempotentFault::new(first, second, flag, forced),
+                ));
+                lanes.push(LaneFaultKind::CouplingState(CouplingStateFault::new(
+                    first, second, flag, forced,
+                )));
+            }
+        }
+        lanes
+    }
+
+    fn algorithms_and_orders() -> Vec<(march_test::algorithm::MarchTest, &'static dyn AddressOrder)>
+    {
+        let mut pairs = Vec::new();
+        for test in library::all_algorithms() {
+            for order in [
+                &WordLineAfterWordLine as &'static dyn AddressOrder,
+                &ColumnMajor,
+            ] {
+                pairs.push((test.clone(), order));
+            }
+        }
+        pairs
+    }
+
+    /// Asserts both kernels agree on `lanes` under both backgrounds and
+    /// both detection modes; returns the number of lanes compared.
+    fn assert_kernels_agree(
+        walk: &MarchWalk,
+        lanes: &[LaneFaultKind],
+        scratch: &mut LaneScratch,
+        context: &str,
+    ) -> usize {
+        assert!(
+            walk.locality_safe(),
+            "{context}: library walks are locality-safe"
+        );
+        for background in [false, true] {
+            for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
+                let reference = run_march_lanes(walk, &mut lanes.to_vec(), background, mode);
+                let masked = run_march_lane_masks(walk, lanes, background, mode, scratch);
+                assert_eq!(
+                    masked,
+                    reference.as_slice(),
+                    "{context} / {} / {} / background {background} / {mode:?}",
+                    walk.test_name(),
+                    walk.order_name(),
+                );
+            }
+        }
+        4 * lanes.len()
+    }
+
+    /// Runs `lanes` on `organization` under every algorithm and both
+    /// orders.
+    fn assert_everywhere(organization: ArrayOrganization, lanes: &[LaneFaultKind], context: &str) {
+        assert!(!lanes.is_empty() && lanes.len() <= 64, "{context}");
+        let mut scratch = LaneScratch::new();
+        for (test, order) in algorithms_and_orders() {
+            let walk = MarchWalk::new(&test, order, &organization);
+            assert_kernels_agree(&walk, lanes, &mut scratch, context);
+        }
+    }
+
+    #[test]
+    fn sixty_four_lanes_on_one_cell() {
+        let cell = at(5);
+        let mut lanes = single_cell(cell);
+        for partner in [4, 6, 1, 9, 15] {
+            lanes.extend(two_cell(cell, at(partner)));
+            lanes.extend(two_cell(at(partner), cell));
+        }
+        lanes.truncate(64);
+        assert_eq!(lanes.len(), 64);
+        assert!(lanes.iter().all(|lane| lane.involved().contains(&cell)));
+        assert_everywhere(ArrayOrganization::new(4, 4).unwrap(), &lanes, "one cell");
+    }
+
+    #[test]
+    fn state_coupling_onto_other_lanes_single_cell_victims() {
+        let (aggressor, victim) = (at(2), at(7));
+        let mut lanes = two_cell(aggressor, victim);
+        lanes.retain(|lane| matches!(lane, LaneFaultKind::CouplingState(_)));
+        // The reverse direction too: the shared victim as aggressor.
+        lanes.extend(
+            two_cell(victim, aggressor)
+                .into_iter()
+                .filter(|lane| matches!(lane, LaneFaultKind::CouplingState(_))),
+        );
+        lanes.extend(single_cell(victim));
+        lanes.extend(single_cell(aggressor));
+        assert_everywhere(ArrayOrganization::new(4, 4).unwrap(), &lanes, "CFst victim");
+    }
+
+    #[test]
+    fn alias_target_that_is_also_a_coupling_aggressor() {
+        let (aliased, target, victim) = (at(3), at(8), at(12));
+        let mut lanes = vec![
+            LaneFaultKind::AddressDecoder(AddressAliasFault::new(aliased, target)),
+            LaneFaultKind::AddressDecoder(AddressAliasFault::new(victim, target)),
+            LaneFaultKind::AddressDecoder(AddressAliasFault::new(target, aliased)),
+        ];
+        lanes.extend(two_cell(target, victim));
+        lanes.extend(two_cell(target, aliased));
+        lanes.extend(two_cell(aliased, target));
+        lanes.extend(single_cell(target));
+        assert_everywhere(ArrayOrganization::new(4, 4).unwrap(), &lanes, "AF target");
+    }
+
+    #[test]
+    fn coupling_chains_through_shared_cells() {
+        let ring = [at(0), at(5), at(10), at(15), at(6)];
+        let mut lanes = Vec::new();
+        for (index, &aggressor) in ring.iter().enumerate() {
+            let victim = ring[(index + 1) % ring.len()];
+            lanes.extend(
+                two_cell(aggressor, victim)
+                    .into_iter()
+                    .filter(|lane| !matches!(lane, LaneFaultKind::AddressDecoder(_))),
+            );
+        }
+        lanes.truncate(64);
+        assert_everywhere(ArrayOrganization::new(4, 4).unwrap(), &lanes, "chain");
+    }
+
+    #[test]
+    fn every_model_on_a_one_by_two_array() {
+        let mut lanes = two_cell(at(0), at(1));
+        lanes.extend(two_cell(at(1), at(0)));
+        lanes.extend(single_cell(at(0)));
+        lanes.extend(single_cell(at(1)));
+        assert_eq!(lanes.len(), 40);
+        let organization = ArrayOrganization::new(1, 2).unwrap();
+        assert_everywhere(organization, &lanes, "1x2");
+    }
+
+    fn lane_kinds(faults: &[FaultFactory], indices: &[usize]) -> Vec<LaneFaultKind> {
+        indices
+            .iter()
+            .map(|&index| {
+                faults[index]()
+                    .lane_kind()
+                    .expect("generated faults have lane kinds")
+            })
+            .collect()
+    }
+
+    /// Seeded dense populations, run both as the planner packs them and
+    /// as random 64-lane draws, on every algorithm, both orders, both
+    /// backgrounds and both modes.
+    fn assert_dense_cohorts_agree(
+        organization: ArrayOrganization,
+        seed: u64,
+        target: usize,
+    ) -> usize {
+        let faults = FaultGen::new(organization, seed)
+            .dense_profile(target)
+            .factories;
+        let mut rng = SplitMix64::new(seed ^ 0x1A4E);
+        let mut cohorts: Vec<Vec<usize>> = Vec::new();
+        for _ in 0..8 {
+            cohorts.push(
+                (0..64)
+                    .map(|_| rng.next_below(faults.len() as u64) as usize)
+                    .collect(),
+            );
+        }
+        let mut scratch = LaneScratch::new();
+        let mut compared = 0;
+        for (test, order) in algorithms_and_orders() {
+            let walk = MarchWalk::new(&test, order, &organization);
+            let plan = FaultBatch::plan(&walk, &faults);
+            let planned = plan.cohorts().iter().filter_map(|cohort| match cohort {
+                Cohort::Lanes(indices) => Some(indices.clone()),
+                _ => None,
+            });
+            for indices in planned.chain(cohorts.iter().cloned()) {
+                let lanes = lane_kinds(&faults, &indices);
+                let context = format!(
+                    "{}x{} seed {seed}",
+                    organization.rows(),
+                    organization.cols()
+                );
+                compared += assert_kernels_agree(&walk, &lanes, &mut scratch, &context);
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn seeded_dense_cohorts_agree_on_small_arrays() {
+        let mut compared = 0;
+        for (rows, cols, seed, target) in [(16, 16, 1, 600), (8, 32, 7, 500), (16, 16, 0x2006, 900)]
+        {
+            let organization = ArrayOrganization::new(rows, cols).unwrap();
+            compared += assert_dense_cohorts_agree(organization, seed, target);
+        }
+        assert!(compared > 100_000, "compared only {compared} lanes");
+    }
+
+    /// A larger array under pseudo-random orders, whose cohorts' unions
+    /// scatter across the walk.
+    #[test]
+    fn seeded_dense_cohorts_agree_at_64x64_under_random_orders() {
+        let organization = ArrayOrganization::new(64, 64).unwrap();
+        let faults = FaultGen::new(organization, 11)
+            .dense_profile(2000)
+            .factories;
+        let mut scratch = LaneScratch::new();
+        for test in [library::march_ss(), library::march_c_minus()] {
+            for seed in [3, 0xDEAD_BEEF] {
+                let order = PseudoRandomOrder::new(seed);
+                let walk = MarchWalk::new(&test, &order, &organization);
+                for cohort in FaultBatch::plan(&walk, &faults).cohorts() {
+                    if let Cohort::Lanes(indices) = cohort {
+                        let lanes = lane_kinds(&faults, indices);
+                        assert_kernels_agree(&walk, &lanes, &mut scratch, "64x64 random order");
+                    }
+                }
+            }
+        }
+    }
+}
