@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bench::throughput::baseline_evaluate_coverage;
 use march_test::address_order::WordLineAfterWordLine;
-use march_test::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned_on_walk, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faults::standard_fault_list;
@@ -34,7 +34,7 @@ fn fault_sim_benches(c: &mut Criterion) {
             &walk,
             |b, walk| {
                 b.iter(|| {
-                    evaluate_coverage_on_walk(
+                    evaluate_coverage_interned_on_walk(
                         walk,
                         &faults,
                         SweepOptions {
@@ -52,7 +52,7 @@ fn fault_sim_benches(c: &mut Criterion) {
             &walk,
             |b, walk| {
                 b.iter(|| {
-                    evaluate_coverage_on_walk(
+                    evaluate_coverage_interned_on_walk(
                         walk,
                         &faults,
                         SweepOptions {
@@ -68,7 +68,9 @@ fn fault_sim_benches(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("lane_batched_parallel", test.name()),
             &walk,
-            |b, walk| b.iter(|| evaluate_coverage_on_walk(walk, &faults, SweepOptions::fast())),
+            |b, walk| {
+                b.iter(|| evaluate_coverage_interned_on_walk(walk, &faults, SweepOptions::fast()))
+            },
         );
     }
     group.finish();

@@ -173,11 +173,6 @@ fn run(args: &Args) -> Result<ExitCode, UsageError> {
             section.speedup_shuffled_vs_ordered()
         );
         println!(
-            "  boxed dispatch (escape-hatch ablation):    {:>12.1} faults/sec   (enum {:.2}x faster)",
-            section.boxed.faults_per_sec,
-            section.speedup_enum_vs_boxed()
-        );
-        println!(
             "  packer vs greedy ({} overlap-heavy faults): {} vs {} merged steps ({:.2}x smaller)",
             section.packer.fault_count,
             section.packer.packed_schedule_steps,

@@ -27,8 +27,9 @@ use lp_precharge::prelude::*;
 use lp_precharge::report::reproduce_table1;
 use march_test::address_order::{AddressOrder, ColumnMajor, LinearOrder, WordLineAfterWordLine};
 use march_test::algorithm::MarchTest;
-use march_test::coverage::{evaluate_coverage_with, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned_on_walk, SweepOptions};
 use march_test::dof::verify_order_independence;
+use march_test::executor::MarchWalk;
 use march_test::faults::static_fault_list;
 use march_test::library;
 use power_model::analytic::AnalyticPowerModel;
@@ -236,14 +237,9 @@ pub fn dof_summary(organization: &ArrayOrganization) -> Vec<(String, bool, f64)>
         .iter()
         .map(|test| {
             let report = verify_order_independence(test, &orders, organization, &faults);
-            let coverage = evaluate_coverage_with(
-                test,
-                &WordLineAfterWordLine,
-                organization,
-                &faults,
-                SweepOptions::fast(),
-            )
-            .coverage();
+            let walk = MarchWalk::new(test, &WordLineAfterWordLine, organization);
+            let coverage =
+                evaluate_coverage_interned_on_walk(&walk, &faults, SweepOptions::fast()).coverage();
             (
                 test.name().to_string(),
                 report.guaranteed_coverage_preserved(),

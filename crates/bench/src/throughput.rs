@@ -16,7 +16,17 @@
 //! fault list out across threads. On top of that, the lane-batched
 //! backend groups up to sixty-four faults into one walk dispatch
 //! (`march_test::batch`); its speedup over the per-fault kernel is the
-//! machine-relative metric the CI gate tracks at every size.
+//! machine-relative metric the CI gate tracks at every size. Every timed
+//! sweep calls the one sweep driver campaign jobs run,
+//! [`evaluate_coverage_interned_on_walk`].
+//!
+//! The per-size ladder times its variants (baseline, serial and parallel
+//! kernel, serial and parallel batched) in one interleaved rotation, each
+//! with its own repeat count taken from the warm-up pass so that every
+//! variant gets about the same share of each round: the variants differ
+//! by up to three orders of magnitude per pass, and the gated metrics are
+//! ratios between them, which a burst of CPU steal in one variant's
+//! disjoint window would otherwise move.
 //!
 //! The frozen baseline replica is *capped* at
 //! [`BASELINE_CELL_CAP`] cells (256×256): beyond that it would dominate
@@ -29,16 +39,11 @@
 //! ([`march_test::faultgen::FaultGen`]) against the 48-fault standard
 //! list on the same 1024×1024 walk, plus the address-aware packer's
 //! merged-schedule steps against the list-order greedy baseline on an
-//! overlap-heavy population. The section also times two execution-model
-//! ablations on the same population: a **shuffled copy**
-//! (`speedup_shuffled_vs_ordered` — packed-order execution with the
-//! streaming probe/outcome permutation should make population order
-//! free) and a **boxed-dispatch replica** whose faults hide their inline
-//! [`LaneFaultKind`](march_test::faults::LaneFaultKind) and ride the
-//! `Box<dyn LaneFault>` escape hatch (`speedup_enum_vs_boxed` — what
-//! lowering enum cohorts to lane masks buys over per-owner boxed
-//! dispatch). All ratios are machine-relative and carry the tight CI
-//! gate.
+//! overlap-heavy population. The section also times a **shuffled copy**
+//! of the same population (`speedup_shuffled_vs_ordered` — packed-order
+//! execution with the streaming probe/outcome permutation should make
+//! population order free). All ratios are machine-relative and carry the
+//! tight CI gate.
 
 use std::time::{Duration, Instant};
 
@@ -46,19 +51,17 @@ use march_test::address_order::AddressOrder;
 use march_test::algorithm::MarchTest;
 use march_test::batch::{CohortPlanner, FaultBatch};
 use march_test::coverage::{
-    evaluate_coverage_interned_on_walk, evaluate_coverage_on_walk, CoverageReport, SweepBackend,
-    SweepOptions,
+    evaluate_coverage_interned_on_walk, CoverageReport, SweepBackend, SweepOptions,
 };
 use march_test::executor::{MarchWalk, Mismatch};
 use march_test::fault_sim::{DetectionMode, FaultSimOutcome};
 use march_test::faultgen::FaultGen;
-use march_test::faults::{Fault, FaultFactory, FaultyMemory, LaneFault};
+use march_test::faults::{Fault, FaultFactory, FaultyMemory};
 use march_test::intern::{InternedSweep, NameTable, OutcomeCode};
 use march_test::library;
 use march_test::memory::{GoodMemory, MemoryModel};
 use march_test::parallel::max_threads;
 use march_test::rng::SplitMix64;
-use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 
 /// Seed of the committed dense benchmark populations: fixed so the
@@ -71,39 +74,6 @@ pub const DENSE_POPULATION_SEED: u64 = 0x2006_DA7E;
 /// by this fixed permutation, so the measured ratio isolates population
 /// order from workload content.
 pub const DENSE_SHUFFLE_SEED: u64 = 0x005A_FF1E;
-
-/// Delegating wrapper that hides its inner fault's inline
-/// [`march_test::faults::LaneFaultKind`] and exposes only the boxed
-/// [`Fault::lane_form`] — the external-fault escape hatch, instantiated
-/// here as a measured ablation. A population wrapped in this rides
-/// `Cohort::BoxedLanes` (the per-owner kernel: one virtual call per
-/// owner lane and step, one heap allocation per lane form) while the
-/// inline enum cohorts run the word-parallel mask kernel, so the
-/// `speedup_enum_vs_boxed` ratio measures mask lowering against
-/// per-owner boxed dispatch.
-#[derive(Debug)]
-struct BoxedDispatch(Box<dyn Fault>);
-
-impl Fault for BoxedDispatch {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn kind(&self) -> march_test::faults::FaultKind {
-        self.0.kind()
-    }
-    fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
-        self.0.write(memory, address, value);
-    }
-    fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
-        self.0.read(memory, address)
-    }
-    fn involved_addresses(&self) -> Option<Vec<Address>> {
-        self.0.involved_addresses()
-    }
-    fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-        self.0.lane_form()
-    }
-}
 
 pub use crate::BASELINE_CELL_CAP;
 
@@ -359,9 +329,6 @@ pub struct DenseSweepSection {
     /// ([`DENSE_SHUFFLE_SEED`]), serial — the packed-order execution
     /// ablation.
     pub dense_shuffled: SweepTiming,
-    /// The same population forced through the boxed `Box<dyn LaneFault>`
-    /// escape hatch, serial — the per-owner dispatch ablation.
-    pub boxed: SweepTiming,
     /// The packer-vs-greedy schedule comparison on an overlap-heavy
     /// population.
     pub packer: PackerComparison,
@@ -384,14 +351,6 @@ impl DenseSweepSection {
     /// CI.
     pub fn speedup_shuffled_vs_ordered(&self) -> f64 {
         self.dense_shuffled.faults_per_sec / self.dense.faults_per_sec
-    }
-
-    /// Mask-lowered enum cohort throughput relative to the per-owner
-    /// boxed `Box<dyn LaneFault>` escape hatch on the same population —
-    /// machine-relative, `> 1.0` is what lowering cohorts to lane masks
-    /// buys over per-owner virtual dispatch.
-    pub fn speedup_enum_vs_boxed(&self) -> f64 {
-        self.dense.faults_per_sec / self.boxed.faults_per_sec
     }
 
     /// Renders the section as the `dense` member of the sweep JSON.
@@ -436,20 +395,12 @@ impl DenseSweepSection {
                 self.dense_shuffled.faults_per_sec
             ),
             format!(
-                "\"boxed_dispatch_batched_faults_per_sec\": {:.1}",
-                self.boxed.faults_per_sec
-            ),
-            format!(
                 "\"speedup_dense_vs_standard\": {:.3}",
                 self.speedup_dense_vs_standard()
             ),
             format!(
                 "\"speedup_shuffled_vs_ordered\": {:.3}",
                 self.speedup_shuffled_vs_ordered()
-            ),
-            format!(
-                "\"speedup_enum_vs_boxed\": {:.3}",
-                self.speedup_enum_vs_boxed()
             ),
             format!("\"packer\": {{\n      {}\n    }}", packer.join(",\n      ")),
         ];
@@ -497,19 +448,6 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         .collect();
     drop(slots);
 
-    // The boxed-dispatch ablation: the same population, every fault
-    // wrapped so only the Box<dyn LaneFault> escape hatch is visible.
-    let boxed: Vec<FaultFactory> = FaultGen::new(organization, DENSE_POPULATION_SEED)
-        .dense_profile(fault_count)
-        .factories
-        .into_iter()
-        .map(|factory| {
-            let wrapped: FaultFactory =
-                Box::new(move || Box::new(BoxedDispatch(factory())) as Box<dyn Fault>);
-            wrapped
-        })
-        .collect();
-
     let serial_options = SweepOptions {
         background: false,
         mode: DetectionMode::FirstMismatch,
@@ -530,27 +468,21 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     // across the timing loops (tens of MB of small heap objects) pushes
     // every subsequent sweep's allocations into fresh arena space and
     // measurably slows the dense passes.
+    let sweep = |walk: &MarchWalk, faults: &[FaultFactory], options: SweepOptions| {
+        evaluate_coverage_interned_on_walk(walk, faults, options).materialize()
+    };
     {
-        let packed_report = evaluate_coverage_on_walk(&walk, &population, serial_options);
+        let packed_report = sweep(&walk, &population, serial_options);
         for options in [greedy_options, parallel_options] {
-            let other = evaluate_coverage_on_walk(&walk, &population, options);
+            let other = sweep(&walk, &population, options);
             assert_eq!(
                 packed_report, other,
                 "dense sweep variants diverged ({options:?})"
             );
         }
-        // The boxed-dispatch replica must reproduce the inline-enum
-        // report outcome for outcome (the wrapper delegates names, so
-        // reports are comparable directly)…
-        let boxed_report = evaluate_coverage_on_walk(&walk, &boxed, serial_options);
-        assert_eq!(
-            packed_report.outcomes(),
-            boxed_report.outcomes(),
-            "boxed-dispatch sweep diverged from the inline-enum sweep"
-        );
-        // …and the shuffled copy must be exactly the ordered report seen
+        // The shuffled copy must be exactly the ordered report seen
         // through the permutation.
-        let shuffled_report = evaluate_coverage_on_walk(&walk, &shuffled, serial_options);
+        let shuffled_report = sweep(&walk, &shuffled, serial_options);
         assert_eq!(shuffled_report.total(), packed_report.total());
         for (position, outcome) in shuffled_report.outcomes().iter().enumerate() {
             assert_eq!(
@@ -565,7 +497,7 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         let small_walk = MarchWalk::new(&test, &order, &small);
         let small_population =
             FaultGen::new(small, DENSE_POPULATION_SEED).dense_profile(fault_count.min(2_000));
-        let golden = evaluate_coverage_on_walk(
+        let golden = sweep(
             &small_walk,
             &small_population,
             SweepOptions {
@@ -577,7 +509,7 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
             SweepBackend::LaneBatched,
             SweepBackend::LaneBatchedListOrder,
         ] {
-            let batched = evaluate_coverage_on_walk(
+            let batched = sweep(
                 &small_walk,
                 &small_population,
                 SweepOptions {
@@ -598,48 +530,46 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     // metric was introduced (inside a rotation it would time cold caches
     // left behind by the 100k-fault variants instead).
     let standard_timing = time_passes(passes, standard.len(), || {
-        std::hint::black_box(evaluate_coverage_on_walk(&walk, &standard, serial_options));
+        std::hint::black_box(evaluate_coverage_interned_on_walk(
+            &walk,
+            &standard,
+            serial_options,
+        ));
     });
-    // The four dense-scale variants are timed in one interleaved rotation
-    // (see `time_rotation`): the committed dense metrics are ratios
-    // between them, and disjoint timing windows would let a burst of
-    // runner interference corrupt a ratio that no engine change caused.
+    // The three dense-scale variants are timed in one interleaved
+    // rotation (see `time_rotation`): the committed dense metrics are
+    // ratios between them, and disjoint timing windows would let a burst
+    // of runner interference corrupt a ratio that no engine change caused.
     let timings = time_rotation(
         passes,
+        false,
         &mut [
             (population.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
                     &walk,
                     &population,
                     serial_options,
                 ));
             }),
             (population.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
                     &walk,
                     &population,
                     parallel_options,
                 ));
             }),
             (shuffled.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(&walk, &shuffled, serial_options));
-            }),
-            (boxed.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(&walk, &boxed, serial_options));
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
+                    &walk,
+                    &shuffled,
+                    serial_options,
+                ));
             }),
         ],
     );
-    let [dense_timing, dense_parallel_timing, dense_shuffled_timing, boxed_timing] =
-        timings.as_slice()
-    else {
+    let [dense_timing, dense_parallel_timing, dense_shuffled_timing] = timings[..] else {
         unreachable!("rotation returns one timing per variant");
     };
-    let (dense_timing, dense_parallel_timing, dense_shuffled_timing, boxed_timing) = (
-        *dense_timing,
-        *dense_parallel_timing,
-        *dense_shuffled_timing,
-        *boxed_timing,
-    );
 
     // The packer comparison runs on an overlap-heavy shuffled population:
     // many faults per victim, scattered through the list — the shape that
@@ -667,7 +597,6 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         dense: dense_timing,
         dense_parallel: dense_parallel_timing,
         dense_shuffled: dense_shuffled_timing,
-        boxed: boxed_timing,
         packer,
     }
 }
@@ -824,6 +753,7 @@ pub fn campaign_bench(passes: usize) -> CampaignBenchSection {
     let mut parallel_pass = || run(max_threads());
     let timings = time_rotation(
         passes,
+        false,
         &mut [
             (jobs, &mut direct_pass),
             (jobs, &mut serial_pass),
@@ -901,17 +831,16 @@ impl SchedulerBenchSection {
 
 /// Measures the unified-scheduler section.
 ///
-/// One sweep runs up front through each report path; the interned
-/// report's digest and materialized form are asserted identical to the
-/// classic report's (the same bit-identity contract the campaign journal
-/// relies on). The timed passes then rebuild each report shape from the
+/// One lane-batched sweep runs up front; its digest and materialized
+/// form are asserted identical to the per-fault golden backend's report
+/// (the same bit-identity contract the campaign journal relies on). The timed passes then rebuild each report shape from the
 /// pre-instantiated faults and pre-swept results in one interleaved
 /// rotation (`time_rotation`, the dense section's scheme), so the
 /// committed ratio times outcome assembly and nothing else.
 ///
 /// # Panics
 ///
-/// Panics if the interned sweep diverges from the classic one.
+/// Panics if the batched sweep diverges from the golden one.
 pub fn scheduler_bench(passes: usize) -> SchedulerBenchSection {
     let organization = ArrayOrganization::new(64, 64).expect("valid organization");
     let test = library::march_ss();
@@ -925,26 +854,36 @@ pub fn scheduler_bench(passes: usize) -> SchedulerBenchSection {
         backend: SweepBackend::LaneBatched,
     };
 
-    // Equivalence gate: the interned path must be indistinguishable from
-    // the classic one before either assembly shape is worth timing.
-    let interned = evaluate_coverage_interned_on_walk(&walk, &population, options);
-    {
-        let classic = evaluate_coverage_on_walk(&walk, &population, options);
-        assert_eq!(
-            interned.digest(),
-            classic.digest(),
-            "interned sweep digest diverged from the classic report"
-        );
-        assert_eq!(
-            interned.materialize(),
-            classic,
-            "interned sweep materialized into a different report"
-        );
-    }
-
-    // Pre-instantiate the fault boxes and pair them with their swept
-    // results: the timed passes measure pure outcome assembly.
+    // Pre-instantiate the fault boxes on the fresh heap, before any
+    // sweep: the timed passes below measure pure outcome assembly, and
+    // their rate must not depend on where the gate's sweeps left holes.
     let faults: Vec<Box<dyn Fault>> = population.iter().map(|factory| factory()).collect();
+
+    // Equivalence gate: the swept results must match the per-fault
+    // golden path before either assembly shape is worth timing.
+    let golden = evaluate_coverage_interned_on_walk(
+        &walk,
+        &population,
+        SweepOptions {
+            backend: SweepBackend::PerFault,
+            ..options
+        },
+    )
+    .materialize();
+    let interned = evaluate_coverage_interned_on_walk(&walk, &population, options);
+    assert_eq!(
+        interned.digest(),
+        golden.digest(),
+        "interned sweep digest diverged from the golden report"
+    );
+    assert_eq!(
+        interned.materialize(),
+        golden,
+        "interned sweep materialized into a different report"
+    );
+    drop(golden);
+
+    // Pair the instances with their swept results.
     let results: Vec<(bool, u32)> = interned
         .codes()
         .iter()
@@ -988,6 +927,7 @@ pub fn scheduler_bench(passes: usize) -> SchedulerBenchSection {
     };
     let timings = time_rotation(
         passes,
+        false,
         &mut [
             (outcomes, &mut strings_pass),
             (outcomes, &mut interned_pass),
@@ -1334,32 +1274,60 @@ fn time_passes(passes: usize, simulations: usize, mut sweep: impl FnMut()) -> Sw
 }
 
 /// Times several sweep variants in rotation inside **one** measurement
-/// span: every round runs one pass of each variant, separately clocked,
-/// until each variant has accumulated [`MIN_TIMING_SECONDS`].
+/// span: every round runs each variant's slot, separately clocked, until
+/// each variant has accumulated [`MIN_TIMING_SECONDS`]. A slot is one
+/// pass, or with `balanced` as many passes as make it last about as long
+/// as one pass of the slowest variant, counted from the warm-up pass.
 ///
-/// The dense section's committed metrics are *ratios between variants*
+/// The committed metrics are *ratios between variants*
 /// (`speedup_dense_vs_standard`, `speedup_shuffled_vs_ordered`,
-/// `speedup_enum_vs_boxed`). Measured in disjoint windows — as
+/// `speedup_batched_vs_kernel`, …). Measured in disjoint windows — as
 /// [`time_passes`] would — a burst of runner interference (CPU steal on
 /// shared CI hardware) lands in one variant's window and corrupts the
 /// ratio even though neither engine changed. Interleaving spreads any
 /// such burst across all variants near-equally, so the ratios cancel the
 /// common-mode noise and only genuine engine regressions move them.
-fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> Vec<SweepTiming> {
-    for (_, sweep) in variants.iter_mut() {
-        sweep(); // Warm-up, as in `time_passes`.
-    }
-    let mut executed = 0usize;
+/// Balancing matters when variants differ by orders of magnitude per
+/// pass: with one pass each, a round would be almost all slow variant
+/// and a burst could still land on it alone.
+fn time_rotation(
+    passes: usize,
+    balanced: bool,
+    variants: &mut [(usize, &mut dyn FnMut())],
+) -> Vec<SweepTiming> {
+    // Warm-up, as in `time_passes`, clocked for the balanced counts.
+    let warm_up: Vec<f64> = variants
+        .iter_mut()
+        .map(|(_, sweep)| {
+            let clock = Instant::now();
+            sweep();
+            clock.elapsed().as_secs_f64()
+        })
+        .collect();
+    let slowest = warm_up.iter().copied().fold(0.0, f64::max);
+    let repeats: Vec<usize> = warm_up
+        .iter()
+        .map(|&seconds| {
+            if balanced {
+                ((slowest / seconds.max(1e-9)).round() as usize).max(1)
+            } else {
+                1
+            }
+        })
+        .collect();
+    let mut executed = vec![0usize; variants.len()];
     let mut seconds = vec![0.0f64; variants.len()];
     loop {
         for _ in 0..passes {
             for (slot, (_, sweep)) in variants.iter_mut().enumerate() {
                 let clock = Instant::now();
-                sweep();
+                for _ in 0..repeats[slot] {
+                    sweep();
+                }
                 seconds[slot] += clock.elapsed().as_secs_f64();
+                executed[slot] += repeats[slot];
             }
         }
-        executed += passes;
         // Every variant must reach the floor: stopping on *total* wall
         // time would let one slow variant starve the others' windows.
         if seconds.iter().all(|&s| s >= MIN_TIMING_SECONDS) {
@@ -1368,8 +1336,8 @@ fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> V
     }
     variants
         .iter()
-        .zip(&seconds)
-        .map(|(&(simulations, _), &elapsed)| SweepTiming {
+        .zip(executed.iter().zip(&seconds))
+        .map(|(&(simulations, _), (&executed, &elapsed))| SweepTiming {
             seconds: elapsed,
             faults_per_sec: (executed * simulations) as f64 / elapsed,
         })
@@ -1378,13 +1346,15 @@ fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> V
 
 /// Measures baseline vs. per-fault-kernel vs. lane-batched throughput for
 /// the standard fault list × Table 1 algorithms on a `rows` × `cols`
-/// array, running `passes` timed passes per variant. The frozen seed
+/// array, the variants timed in one balanced rotation
+/// (`time_rotation`) of `passes` slots per round. The frozen seed
 /// baseline is skipped above [`BASELINE_CELL_CAP`] cells.
 ///
 /// Before timing, the variants' coverage reports are checked to detect
 /// exactly the same fault sets — a benchmark of diverging sweeps would be
-/// meaningless. The batched reports must be *identical* to the per-fault
-/// kernel's, outcome by outcome.
+/// meaningless. The materialized reports of the parallel and batched
+/// variants must be *identical* to the serial per-fault golden backend's,
+/// outcome by outcome.
 ///
 /// # Panics
 ///
@@ -1421,63 +1391,65 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
     // and the batched backend must reproduce the per-fault kernel's
     // reports outcome by outcome.
     for (test, walk) in tests.iter().zip(&walks) {
-        let serial = evaluate_coverage_on_walk(walk, &faults, serial_options);
+        let sweep =
+            |options| evaluate_coverage_interned_on_walk(walk, &faults, options).materialize();
+        let golden = sweep(serial_options);
         if measure_baseline {
             let expected = baseline_evaluate_coverage(test, &order, &organization, &faults);
             assert_eq!(
                 expected.detected_fault_names(),
-                serial.detected_fault_names(),
+                golden.detected_fault_names(),
                 "{}: serial kernel diverged from the baseline",
                 test.name()
             );
         }
-        let parallel = evaluate_coverage_on_walk(walk, &faults, parallel_options);
-        assert_eq!(
-            serial,
-            parallel,
-            "{}: parallel sweep diverged from the serial one",
-            test.name()
-        );
-        let batched = evaluate_coverage_on_walk(walk, &faults, batched_options);
-        assert_eq!(
-            serial,
-            batched,
-            "{}: lane-batched sweep diverged from the per-fault kernel",
-            test.name()
-        );
-        let batched_parallel = evaluate_coverage_on_walk(walk, &faults, batched_parallel_options);
-        assert_eq!(
-            batched,
-            batched_parallel,
-            "{}: parallel batched sweep diverged from the serial one",
-            test.name()
-        );
+        for (options, variant) in [
+            (parallel_options, "parallel per-fault"),
+            (batched_options, "lane-batched"),
+            (batched_parallel_options, "parallel lane-batched"),
+        ] {
+            assert_eq!(
+                golden,
+                sweep(options),
+                "{}: {variant} sweep diverged from the per-fault golden path",
+                test.name()
+            );
+        }
     }
 
     let simulations = tests.len() * faults.len();
-    let baseline = measure_baseline.then(|| {
-        time_passes(passes, simulations, || {
-            for test in &tests {
-                std::hint::black_box(baseline_evaluate_coverage(
-                    test,
-                    &order,
-                    &organization,
-                    &faults,
-                ));
+    let pass = |options: SweepOptions| {
+        let (walks, faults) = (&walks, &faults);
+        move || {
+            for walk in walks {
+                std::hint::black_box(evaluate_coverage_interned_on_walk(walk, faults, options));
             }
-        })
-    });
-    let time_variant = |options: SweepOptions| {
-        time_passes(passes, simulations, || {
-            for walk in &walks {
-                std::hint::black_box(evaluate_coverage_on_walk(walk, &faults, options));
-            }
-        })
+        }
     };
-    let kernel_serial = time_variant(serial_options);
-    let kernel_parallel = time_variant(parallel_options);
-    let batched = time_variant(batched_options);
-    let batched_parallel = time_variant(batched_parallel_options);
+    let mut kernel_serial = pass(serial_options);
+    let mut kernel_parallel = pass(parallel_options);
+    let mut batched = pass(batched_options);
+    let mut batched_parallel = pass(batched_parallel_options);
+    let mut baseline = || {
+        for test in &tests {
+            std::hint::black_box(baseline_evaluate_coverage(
+                test,
+                &order,
+                &organization,
+                &faults,
+            ));
+        }
+    };
+    let mut variants: Vec<(usize, &mut dyn FnMut())> = vec![
+        (simulations, &mut kernel_serial),
+        (simulations, &mut kernel_parallel),
+        (simulations, &mut batched),
+        (simulations, &mut batched_parallel),
+    ];
+    if measure_baseline {
+        variants.push((simulations, &mut baseline));
+    }
+    let timings = time_rotation(passes, true, &mut variants);
 
     FaultSimThroughput {
         rows,
@@ -1487,11 +1459,11 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
         simulations_per_pass: simulations,
         passes,
         threads: max_threads(),
-        baseline,
-        kernel_serial,
-        kernel_parallel,
-        batched,
-        batched_parallel,
+        baseline: timings.get(4).copied(),
+        kernel_serial: timings[0],
+        kernel_parallel: timings[1],
+        batched: timings[2],
+        batched_parallel: timings[3],
     }
 }
 
@@ -1559,10 +1531,8 @@ mod tests {
         assert!(section.dense.faults_per_sec > 0.0);
         assert!(section.dense_parallel.faults_per_sec > 0.0);
         assert!(section.dense_shuffled.faults_per_sec > 0.0);
-        assert!(section.boxed.faults_per_sec > 0.0);
         assert!(section.speedup_dense_vs_standard() > 0.0);
         assert!(section.speedup_shuffled_vs_ordered() > 0.0);
-        assert!(section.speedup_enum_vs_boxed() > 0.0);
         assert!(
             section.packer.speedup_packed_schedule() >= 1.0,
             "the packer is never worse than greedy"
@@ -1582,9 +1552,8 @@ mod tests {
         assert!(json.contains("\"standard_batched_faults_per_sec\""));
         assert!(json.contains("\"speedup_dense_vs_standard\""));
         assert!(json.contains("\"dense_shuffled_batched_faults_per_sec\""));
-        assert!(json.contains("\"boxed_dispatch_batched_faults_per_sec\""));
         assert!(json.contains("\"speedup_shuffled_vs_ordered\""));
-        assert!(json.contains("\"speedup_enum_vs_boxed\""));
+        assert!(!json.contains("boxed"));
         assert!(json.contains("\"packer\": {"));
         assert!(json.contains("\"greedy_schedule_steps\""));
         assert!(json.contains("\"speedup_packed_schedule\""));

@@ -19,7 +19,6 @@ use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use march_test::coverage::panic_message;
 use sched::{run_pool, Poll, WorkItem};
 
 use crate::error::CampaignError;
@@ -57,6 +56,19 @@ enum Failure {
     Error(String),
     /// The attempt overran its deadline and was abandoned.
     TimedOut(String),
+}
+
+/// Renders a caught panic payload for the journal: `&str` and `String`
+/// payloads verbatim (the overwhelmingly common case — `panic!` with a
+/// message), anything else as a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// A finished run's export, plan and counters.

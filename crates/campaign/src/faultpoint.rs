@@ -8,14 +8,16 @@
 //! check is a no-op, so production campaigns pay one branch per site.
 //!
 //! The injected failures are *real*: a worker kill is a genuine panic
-//! unwinding out of the job closure, a lane-model panic detonates inside
-//! `run_march_lanes` via a wrapped [`LaneFault`], a torn write leaves a
-//! genuinely half-written record on disk. The differential tests then
+//! unwinding out of the job closure, a fault-model panic detonates in the
+//! first read of a wrapped [`Fault`] inside the batched sweep (the
+//! wrapper reports no lane kind, so every wrapped fault runs as a serial
+//! singleton of that sweep), a torn write leaves a genuinely
+//! half-written record on disk. The differential tests then
 //! assert that resuming after each of them reproduces the uninterrupted
 //! campaign byte for byte.
 
-use march_test::faults::{Fault, FaultFactory, FaultKind, LaneFault};
-use march_test::memory::{GoodMemory, LaneMemory};
+use march_test::faults::{Fault, FaultFactory, FaultKind};
+use march_test::memory::GoodMemory;
 use sram_model::address::Address;
 
 /// One deterministic failure to inject.
@@ -30,9 +32,10 @@ pub enum Injection {
         /// How many attempts die before the job is allowed to succeed.
         attempts: u8,
     },
-    /// Panic *inside the lane-batched kernel* while sweeping `job`, for
-    /// its first `attempts` attempts: the job's fault models are wrapped
-    /// so the first lane read detonates.
+    /// Panic *inside the lane-batched sweep* of `job`, for its first
+    /// `attempts` attempts: the job's fault models are wrapped so they
+    /// report no lane kind and their first read panics, which happens on
+    /// the sweep's serial-singleton path.
     LaneModelPanic {
         /// Plan index of the job whose models detonate.
         job: u32,
@@ -356,10 +359,10 @@ impl ProcessInjector {
     }
 }
 
-/// Wraps every factory so the produced faults detonate in the lane
-/// kernel: the wrapped fault behaves identically until its first lane
-/// read, which panics. Used by the runner when
-/// [`FaultInjector::lane_panic_armed`] fires.
+/// Wraps every factory so the produced faults detonate inside the sweep:
+/// the wrapped fault reports no lane kind, so the batched backend runs it
+/// as a serial singleton, and its first read panics. Used by the runner
+/// when [`FaultInjector::lane_panic_armed`] fires.
 pub fn detonate_factories(factories: Vec<FaultFactory>) -> Vec<FaultFactory> {
     factories
         .into_iter()
@@ -369,7 +372,7 @@ pub fn detonate_factories(factories: Vec<FaultFactory>) -> Vec<FaultFactory> {
         .collect()
 }
 
-/// A fault whose lane form panics on its first lane read.
+/// A fault that panics on its first read and has no lane kind.
 #[derive(Debug)]
 struct DetonatingFault {
     inner: Box<dyn Fault>,
@@ -394,39 +397,6 @@ impl Fault for DetonatingFault {
 
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         self.inner.involved_addresses()
-    }
-
-    fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-        self.inner
-            .lane_form()
-            .map(|inner| Box::new(DetonatingLaneFault { inner }) as Box<dyn LaneFault>)
-    }
-}
-
-/// The lane form of [`DetonatingFault`]: panics inside
-/// `run_march_lanes` at the first read touching its lane.
-#[derive(Debug)]
-struct DetonatingLaneFault {
-    inner: Box<dyn LaneFault>,
-}
-
-impl LaneFault for DetonatingLaneFault {
-    fn involved(&self) -> Vec<Address> {
-        self.inner.involved()
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        self.inner.lane_write(memory, lane, address, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        _memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        panic!("faultpoint: lane model panicked on lane {lane} at {address:?}");
     }
 }
 
@@ -573,7 +543,7 @@ mod tests {
         let wrapped = detonate_factories(factories);
         let mut fault = wrapped[0]();
         assert_eq!(fault.kind(), FaultKind::StuckAt);
-        assert!(fault.lane_form().is_some(), "lane form must be preserved");
+        assert!(fault.lane_kind().is_none(), "the wrapper has no lane kind");
         let mut memory = GoodMemory::new(8);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fault.read(&mut memory, Address::new(0))

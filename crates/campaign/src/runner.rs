@@ -18,7 +18,8 @@ use std::thread;
 use std::time::Duration;
 
 use march_test::address_order::order_by_name;
-use march_test::coverage::{evaluate_coverage_interned_caught, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned_on_walk, SweepOptions};
+use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::library::algorithm_by_name;
 use march_test::parallel::max_threads;
@@ -143,7 +144,14 @@ pub fn run_campaign(
 ///
 /// # Errors
 ///
-/// Returns the same failure message a campaign worker would journal.
+/// Returns the same failure message a campaign worker would journal for
+/// an invalid spec.
+///
+/// # Panics
+///
+/// A panic inside the sweep (a misbehaving fault model) propagates; the
+/// campaign engine catches it around each attempt and journals its
+/// payload.
 pub fn run_job(spec: &JobSpec) -> Result<JobResult, String> {
     execute_job(spec, 0, 1, Duration::ZERO, &FaultInjector::none())
 }
@@ -185,12 +193,10 @@ pub(crate) fn execute_job(
         parallel: false,
         backend: spec.backend,
     };
-    // The interned sweep: same kernel, same digest bit-for-bit, but one
-    // name string per fault instead of three fat outcome strings — the
+    // The interned report carries one name string per fault — the
     // journal only ever wants the counts and the fingerprint.
-    let report =
-        evaluate_coverage_interned_caught(&test, order.as_ref(), &organization, &factories, sweep)
-            .map_err(|panic| panic.to_string())?;
+    let walk = MarchWalk::new(&test, order.as_ref(), &organization);
+    let report = evaluate_coverage_interned_on_walk(&walk, &factories, sweep);
     Ok(JobResult {
         detected: report.detected() as u32,
         total: report.total() as u32,

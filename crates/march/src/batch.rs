@@ -16,14 +16,14 @@
 //!
 //! ```text
 //!  fault list (factories, list order)
-//!      │  probe: one instantiation per factory → lane kind (inline
-//!      │         LaneFaultKind) | boxed lane form | neither, plus the
-//!      ▼         sorted, deduplicated involved addresses
+//!      │  probe: one instantiation per factory → inline lane kind
+//!      │         (LaneFaultKind) or none, plus the sorted, deduplicated
+//!      ▼         involved addresses
 //!  probes (list order)
-//!      │  plan: classify into lane / boxed / serial candidates, then
-//!      │        group the lane candidates (CohortPlanner) into ≤64-lane
-//!      ▼        cohorts closed at the kernel's address budget
-//!  cohorts: Lanes(…) …, BoxedLanes(…) …, Serial(…) …
+//!      │  plan: classify into lane / serial candidates, then group the
+//!      │        lane candidates (CohortPlanner) into ≤64-lane cohorts
+//!      ▼        closed at the kernel's address budget
+//!  cohorts: Lanes(…) …, Serial(…) …
 //!      │  pack: concatenate the lane cohorts' members into one
 //!      ⇢        contiguous Vec<LaneFaultKind> — **packed order**, the
 //!      │        kernel's native order — recording the fault→packed-slot
@@ -35,11 +35,12 @@
 //!      │           computed from the union's walk positions, and every
 //!      │           step runs as whole-word u64 operations; detections
 //!      ▼           land in packed-order flat arrays (sequential writes)
-//!  packed detections  +  parked outcomes (boxed/serial, rare)
-//!      │  scatter: one list-order assembly pass reads each fault's
-//!      │           detection through the inverse permutation and its
-//!      ▼           name/kind from the sequential probe array
-//!  outcomes (fault-list order — byte-identical to the per-fault path)
+//!  packed detections  +  parked serial counts (rare)
+//!      │  scatter: one list-order pass pairs each probed instance with
+//!      ▼           its detection, read through the inverse permutation
+//!  (fault, detected, mismatches) in fault-list order — the driver
+//!  (crate::coverage) interns them into a report byte-identical to the
+//!  per-fault path
 //! ```
 //!
 //! Shuffled populations therefore cost exactly one permutation hop (the
@@ -53,20 +54,14 @@
 //! [`FaultBatch::plan_with`] partitions a fault list into dispatchable
 //! [`Cohort`]s:
 //!
-//! * a fault joins an **enum lane cohort** ([`Cohort::Lanes`]) when the
-//!   walk is [`MarchWalk::locality_safe`] and the fault provides a
+//! * a fault joins a **lane cohort** ([`Cohort::Lanes`]) when the walk is
+//!   [`MarchWalk::locality_safe`] and the fault provides a
 //!   [`Fault::lane_kind`] — its lane form stored inline and lowered to
 //!   lane masks by the word-parallel kernel;
-//! * a fault with no inline kind but a boxed [`Fault::lane_form`] (the
-//!   extensibility escape hatch for external fault types) joins a
-//!   **boxed cohort** ([`Cohort::BoxedLanes`]), which runs the per-owner
-//!   kernel ([`crate::executor::run_march_lanes`]) through virtual
-//!   dispatch;
 //! * lane cohorts close at [`LaneMemory::LANES`] (64) members or at the
 //!   kernel's [`crate::executor::COHORT_ADDRESS_BUDGET`];
-//! * everything else (no lane form at all, an over-budget involved set,
-//!   or a non-locality-safe walk) becomes a serial singleton that runs
-//!   the per-fault golden path.
+//! * everything else (no lane kind, or a non-locality-safe walk) becomes
+//!   a serial singleton that runs the per-fault golden path.
 //!
 //! *Which* faults share a cohort is the [`CohortPlanner`]'s choice, and
 //! it decides how much walk each cohort dispatches: a cohort's schedule
@@ -85,7 +80,7 @@
 //! original.
 //!
 //! Cohort membership never changes *results*: lanes are independent
-//! universes and [`sweep_batched`] reassembles outcomes in fault-list
+//! universes and [`sweep_batched`] reassembles results in fault-list
 //! order, so batched sweeps are byte-identical to per-fault ones under
 //! every planner (the randomized differential harness in
 //! `tests/dense_population_differential.rs` proves it seed by seed,
@@ -93,9 +88,9 @@
 
 use sram_model::address::Address;
 
-use crate::executor::{run_march_lane_masks, run_march_lanes_scratch, LaneScratch, MarchWalk};
-use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
-use crate::faults::{Fault, FaultFactory, FaultKind, LaneFault, LaneFaultKind};
+use crate::executor::{run_march_lane_masks, LaneScratch, MarchWalk};
+use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode};
+use crate::faults::{Fault, FaultFactory, FaultKind, LaneFaultKind};
 use crate::memory::{GoodMemory, LaneMemory};
 use crate::parallel::par_chunk_flat_map_balanced_scratch;
 
@@ -107,10 +102,6 @@ pub enum Cohort {
     /// packed cohort array; the values are indices into the planned fault
     /// list, and each fault's lane is its position in the vector.
     Lanes(Vec<usize>),
-    /// Up to [`LaneMemory::LANES`] faults whose lane form is only
-    /// available boxed ([`Fault::lane_form`] — the external-fault escape
-    /// hatch); the per-owner kernel, virtual dispatch.
-    BoxedLanes(Vec<usize>),
     /// A fault that must run the per-fault path: its index in the planned
     /// fault list.
     Serial(usize),
@@ -120,7 +111,7 @@ impl Cohort {
     /// Number of faults this cohort simulates.
     pub fn len(&self) -> usize {
         match self {
-            Cohort::Lanes(indices) | Cohort::BoxedLanes(indices) => indices.len(),
+            Cohort::Lanes(indices) => indices.len(),
             Cohort::Serial(_) => 1,
         }
     }
@@ -169,8 +160,7 @@ pub struct FaultBatch {
 }
 
 /// Probed faults in struct-of-arrays layout: the instances, the inline
-/// lane kinds (when the walk admits them), the boxed escape-hatch lane
-/// forms (only probed when there is no kind) and a CSR of the sorted
+/// lane kinds (when the walk admits them) and a CSR of the sorted
 /// involved addresses.
 ///
 /// Probing happens in fault-list order, once, and serves planning,
@@ -182,16 +172,11 @@ pub struct FaultBatch {
 /// populations those permuted passes are what the sweep's throughput
 /// hinges on.
 struct ProbeSet {
-    /// `None` once a boxed cohort or serial singleton consumed the
-    /// instance (its outcome is then parked, name included, so the slot
-    /// is never read again).
-    faults: Vec<Option<Box<dyn Fault>>>,
+    /// The probed instances, handed back with their results.
+    faults: Vec<Box<dyn Fault>>,
     /// The inline lane forms — `Copy`, so the pack stage moves them into
     /// the packed cohort array without touching the heap.
     kinds: Vec<Option<LaneFaultKind>>,
-    /// The boxed escape-hatch lane forms, probed only when the kind is
-    /// `None`.
-    boxed: Vec<Option<Box<dyn LaneFault>>>,
     /// Involved addresses, ascending and distinct within each fault,
     /// concatenated in fault-list order.
     entries: Vec<u32>,
@@ -245,7 +230,6 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
     let mut probes = ProbeSet {
         faults: Vec::with_capacity(faults.len()),
         kinds: Vec::with_capacity(faults.len()),
-        boxed: Vec::with_capacity(faults.len()),
         entries: Vec::with_capacity(faults.len()),
         offsets: Vec::with_capacity(faults.len() + 1),
         sigs: Vec::with_capacity(faults.len()),
@@ -253,41 +237,29 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
     probes.offsets.push(0);
     for factory in faults {
         let fault = factory();
-        let (kind, boxed) = if locality_safe {
-            match fault.lane_kind() {
-                Some(kind) => (Some(kind), None),
-                None => (None, fault.lane_form()),
-            }
-        } else {
-            (None, None)
-        };
+        let kind = fault.lane_kind().filter(|_| locality_safe);
         let mut sig = 0u64;
-        match (&kind, &boxed) {
-            (Some(kind), _) => {
-                let involved = kind.involved();
-                sig = match *involved {
-                    [only] => u64::from(only.value()) << 32 | u64::from(u32::MAX),
-                    [secondary, victim] => {
-                        u64::from(victim.value()) << 32 | u64::from(secondary.value())
-                    }
-                    _ => unreachable!("enum lane kinds involve one or two cells"),
-                };
-                push_involved(&involved, &mut probes.entries);
-            }
-            (None, Some(form)) => push_involved(&form.involved(), &mut probes.entries),
-            _ => {}
+        if let Some(kind) = &kind {
+            let involved = kind.involved();
+            sig = match *involved {
+                [only] => u64::from(only.value()) << 32 | u64::from(u32::MAX),
+                [secondary, victim] => {
+                    u64::from(victim.value()) << 32 | u64::from(secondary.value())
+                }
+                _ => unreachable!("enum lane kinds involve one or two cells"),
+            };
+            push_involved(&involved, &mut probes.entries);
         }
         probes.offsets.push(probes.entries.len() as u32);
-        probes.faults.push(Some(fault));
+        probes.faults.push(fault);
         probes.kinds.push(kind);
-        probes.boxed.push(boxed);
         probes.sigs.push(sig);
     }
     probes
 }
 
 /// Sentinel of the fault→packed-slot inverse permutation: the fault does
-/// not ride an enum lane cohort (boxed or serial — its outcome parks
+/// not ride a lane cohort (it runs serially and its counts park
 /// instead).
 const UNPACKED: u32 = u32::MAX;
 
@@ -453,29 +425,17 @@ impl FaultBatch {
         let mut lane_kind_values: Vec<LaneFaultKind> = Vec::new();
         let mut lane_sigs: Vec<u64> = Vec::new();
         let mut involved: Vec<&[u32]> = Vec::new();
-        let mut boxed_indices: Vec<u32> = Vec::new();
-        let mut boxed_involved: Vec<&[u32]> = Vec::new();
         let mut serial: Vec<usize> = Vec::new();
         let mut serial_steps = 0u64;
         for index in 0..probes.len() {
-            let set = probes.involved(index);
-            // A lane form whose involved set alone exceeds the kernel's
-            // address budget can never share (or even fill) a cohort the
-            // kernel would accept — it runs the per-fault path instead.
-            let within_budget = set.len() <= crate::executor::COHORT_ADDRESS_BUDGET;
-            if let Some(kind) = probes.kinds[index].filter(|_| within_budget) {
+            if let Some(kind) = probes.kinds[index] {
                 lane_indices.push(index as u32);
                 lane_kinds.push(kind_rank(kind.kind()));
                 lane_kind_values.push(kind);
                 lane_sigs.push(probes.sigs[index]);
-                involved.push(set);
-            } else if probes.boxed[index].is_some() && within_budget {
-                boxed_indices.push(index as u32);
-                boxed_involved.push(set);
+                involved.push(probes.involved(index));
             } else {
-                let fault = probes.faults[index]
-                    .as_ref()
-                    .expect("fresh probes hold their fault");
+                let fault = &probes.faults[index];
                 serial_steps += match fault.involved_addresses().filter(|_| locality_safe) {
                     Some(mut addresses) => {
                         addresses.sort_unstable();
@@ -600,41 +560,21 @@ impl FaultBatch {
             }
         };
 
-        // Boxed escape-hatch cohorts are grouped in list order — external
-        // fault types are rare by construction, so they take the simple
-        // grouping under either planner.
-        let boxed_positions: Vec<usize> = (0..boxed_indices.len()).collect();
-        let (boxed_groups, boxed_steps) = chunk_and_cost(
-            &boxed_involved,
-            &boxed_positions,
-            &mut scratch,
-            ops_per_address,
-        );
-
         let mut cohorts: Vec<Cohort> = lane_groups.into_iter().map(Cohort::Lanes).collect();
-        cohorts.extend(boxed_groups.into_iter().map(|members| {
-            Cohort::BoxedLanes(
-                members
-                    .into_iter()
-                    .map(|position| boxed_indices[position] as usize)
-                    .collect(),
-            )
-        }));
         cohorts.extend(serial.into_iter().map(Cohort::Serial));
         (
             Self {
                 cohorts,
                 faults: probes.len(),
                 planner,
-                schedule_steps: lane_steps + boxed_steps + serial_steps,
+                schedule_steps: lane_steps + serial_steps,
             },
             packed_lanes,
         )
     }
 
-    /// The planned cohorts: enum lane cohorts first (in the planner's
-    /// packing order), then boxed escape-hatch cohorts, then the serial
-    /// singletons in fault-list order.
+    /// The planned cohorts: lane cohorts first (in the planner's packing
+    /// order), then the serial singletons in fault-list order.
     pub fn cohorts(&self) -> &[Cohort] {
         &self.cohorts
     }
@@ -658,13 +598,12 @@ impl FaultBatch {
         self.faults
     }
 
-    /// Number of faults that ride lane cohorts — inline enum or boxed
-    /// escape hatch (the rest run serially).
+    /// Number of faults that ride lane cohorts (the rest run serially).
     pub fn lane_fault_count(&self) -> usize {
         self.cohorts
             .iter()
             .map(|cohort| match cohort {
-                Cohort::Lanes(indices) | Cohort::BoxedLanes(indices) => indices.len(),
+                Cohort::Lanes(indices) => indices.len(),
                 Cohort::Serial(_) => 0,
             })
             .sum()
@@ -672,44 +611,10 @@ impl FaultBatch {
 }
 
 /// Simulates every fault in `faults` over `walk` through the lane-batched
-/// backend with the default [`CohortPlanner::AddressAware`] packer,
-/// returning outcomes in fault-list order. See [`sweep_batched_with`].
-pub fn sweep_batched(
-    walk: &MarchWalk,
-    faults: &[FaultFactory],
-    background: bool,
-    mode: DetectionMode,
-    threads: usize,
-) -> Vec<FaultSimOutcome> {
-    sweep_batched_with(
-        walk,
-        faults,
-        background,
-        mode,
-        threads,
-        CohortPlanner::default(),
-    )
-}
-
-fn park_lane_outcome(
-    walk: &MarchWalk,
-    fault: &dyn Fault,
-    detected: bool,
-    mismatches: usize,
-) -> FaultSimOutcome {
-    FaultSimOutcome {
-        fault_name: fault.name(),
-        fault_kind: fault.kind(),
-        test_name: walk.test_name().to_string(),
-        order_name: walk.order_name().to_string(),
-        detected,
-        mismatches,
-    }
-}
-
-/// Simulates every fault in `faults` over `walk` through the lane-batched
-/// backend under an explicit cohort `planner`, returning outcomes in
-/// fault-list order.
+/// backend under the cohort `planner`, returning each probed fault
+/// instance with its `(detected, mismatches)` in fault-list order — the
+/// sweep driver ([`crate::coverage::evaluate_coverage_interned_on_walk`])
+/// interns them into the report.
 ///
 /// Execution follows the packed-order lifecycle described in the module
 /// docs: every fault is probed exactly once, in fault-list order; the
@@ -720,58 +625,24 @@ fn park_lane_outcome(
 /// worker threads with whole cohorts as the unit of work, load-balanced
 /// because generated populations produce cohorts of very uneven cost.
 /// Detections land in packed-order flat arrays (sequential writes), and
-/// one final pass assembles outcomes in list order through the inverse
-/// permutation, so the result is identical to the per-fault path
+/// one final pass pairs them with the probes in list order through the
+/// inverse permutation, so the result is identical to the per-fault path
 /// regardless of population order, scheduling or planner.
 ///
 /// The parallel path holds no locks on the hot path: the word-parallel
 /// kernel only reads a cohort's inline lane forms, so workers lower them
-/// straight from the shared packed array, and the rare boxed/serial
-/// stragglers re-instantiate from the `Sync` factories inside the worker.
-pub fn sweep_batched_with(
+/// straight from the shared packed array, and the rare serial singletons
+/// re-instantiate from the `Sync` factories inside the worker. A panic in
+/// a fault model or the kernel propagates with its original payload.
+pub fn sweep_batched(
     walk: &MarchWalk,
     faults: &[FaultFactory],
     background: bool,
     mode: DetectionMode,
     threads: usize,
     planner: CohortPlanner,
-) -> Vec<FaultSimOutcome> {
-    sweep_batched_assemble(
-        walk,
-        faults,
-        background,
-        mode,
-        threads,
-        planner,
-        &|fault, detected, mismatches| park_lane_outcome(walk, fault, detected, mismatches),
-    )
-}
-
-/// [`sweep_batched_with`], generic over the per-fault outcome assembly:
-/// `assemble(fault, detected, mismatches)` renders each fault's result
-/// into whatever report entry the caller wants — the full string-bearing
-/// [`FaultSimOutcome`] ([`sweep_batched_with`] itself), or the interned
-/// [`OutcomeCode`](crate::intern::OutcomeCode) form that skips the
-/// three-strings-per-fault allocation
-/// ([`crate::coverage::evaluate_coverage_interned`]).
-///
-/// `assemble` runs once per fault, in no guaranteed order (workers call
-/// it for their own cohorts), but the returned vector is always in
-/// fault-list order. It must be a pure function of its arguments.
-pub fn sweep_batched_assemble<O, A>(
-    walk: &MarchWalk,
-    faults: &[FaultFactory],
-    background: bool,
-    mode: DetectionMode,
-    threads: usize,
-    planner: CohortPlanner,
-    assemble: &A,
-) -> Vec<O>
-where
-    O: Send + Sync,
-    A: Fn(&dyn Fault, bool, usize) -> O + Sync,
-{
-    let mut probes = probe_faults(walk, faults);
+) -> Vec<(Box<dyn Fault>, bool, usize)> {
+    let probes = probe_faults(walk, faults);
     let (plan, packed) = FaultBatch::plan_probed(walk, &probes, planner, true);
 
     // Pack stage: concatenate the lane cohorts' members into the kernel's
@@ -808,203 +679,109 @@ where
         emitted
     });
 
-    // Per-packed-slot mismatch counts: the kernel's detection flag is
-    // exactly `mismatches > 0` (a lane is detected iff at least one of
-    // its reads mismatched), so one dense `u32` array carries the whole
-    // outcome and the assembly pass gathers four bytes per fault.
-    let mut counts_packed = vec![0u32; packed_lanes.len()];
-    let mut parked: Vec<(usize, O)> = Vec::new();
+    // Lane cohorts occupy the packed array in plan order, so cohort `n`
+    // is the `n`-th packed range; serial singletons follow them.
+    enum Work<'a> {
+        Lanes {
+            start: usize,
+            lanes: &'a [LaneFaultKind],
+        },
+        Serial(usize),
+    }
+    let mut ranges = lane_ranges.iter();
+    let work: Vec<Work> = plan
+        .cohorts()
+        .iter()
+        .map(|cohort| match cohort {
+            Cohort::Lanes(_) => {
+                let &(start, len) = ranges.next().expect("one packed range per lane cohort");
+                let (start, len) = (start as usize, len as usize);
+                Work::Lanes {
+                    start,
+                    lanes: &packed_lanes[start..start + len],
+                }
+            }
+            Cohort::Serial(index) => Work::Serial(*index),
+        })
+        .collect();
 
-    if threads <= 1 {
-        let mut scratch: Option<GoodMemory> = None;
-        // One set of kernel dispatch buffers serves every cohort of the
-        // sweep — the serial analogue of the per-worker scratch reuse of
-        // the parallel path below.
-        let mut lane_scratch = LaneScratch::new();
-        let mut lane_cursor = 0usize;
-        for cohort in plan.cohorts() {
-            match cohort {
-                Cohort::Lanes(_) => {
-                    let (start, len) = lane_ranges[lane_cursor];
-                    lane_cursor += 1;
-                    let (start, len) = (start as usize, len as usize);
-                    let detections = run_march_lane_masks(
-                        walk,
-                        &packed_lanes[start..start + len],
-                        background,
-                        mode,
-                        &mut lane_scratch,
-                    );
-                    for (offset, detection) in detections.iter().enumerate() {
-                        counts_packed[start + offset] = detection.mismatches as u32;
-                    }
-                }
-                Cohort::BoxedLanes(indices) => {
-                    let mut lanes: Vec<Box<dyn LaneFault>> = indices
-                        .iter()
-                        .map(|&index| {
-                            probes.boxed[index]
-                                .take()
-                                .expect("planned boxed faults have lane forms")
-                        })
-                        .collect();
-                    let detections = run_march_lanes_scratch(
-                        walk,
-                        &mut lanes,
-                        background,
-                        mode,
-                        &mut lane_scratch,
-                    );
-                    for (&index, detection) in indices.iter().zip(detections) {
-                        let fault = probes.faults[index].take().expect("probe holds its fault");
-                        parked.push((
-                            index,
-                            assemble(fault.as_ref(), detection.detected, detection.mismatches),
-                        ));
-                    }
-                }
-                Cohort::Serial(index) => {
-                    let scratch = scratch.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
-                    let fault = probes.faults[*index].take().expect("probe holds its fault");
-                    let (fault, detected, mismatches) =
-                        simulate_fault_counts_on_walk(walk, scratch, fault, background, mode);
-                    parked.push((*index, assemble(fault.as_ref(), detected, mismatches)));
-                }
-            }
-        }
-    } else {
-        // Lock-free fan-out: enum cohorts are read-only slices of the
-        // packed array, which the kernel lowers in place — no copies, no
-        // mutexes. Boxed cohorts and serial singletons re-instantiate from
-        // their `Sync` factories inside the worker (both are rare by
-        // construction).
-        enum Work<'a> {
-            Lanes {
-                start: usize,
-                lanes: &'a [LaneFaultKind],
+    // One work item's results: a lane cohort's per-packed-slot mismatch
+    // counts (the kernel's detection flag is exactly `mismatches > 0`),
+    // or a serial singleton's `(index, detected, mismatches)`.
+    enum Record {
+        Lanes { start: usize, counts: Vec<u32> },
+        Serial(usize, bool, usize),
+    }
+    let run =
+        |item: &Work, lane_scratch: &mut LaneScratch, scratch: &mut Option<GoodMemory>| match *item
+        {
+            Work::Lanes { start, lanes } => Record::Lanes {
+                start,
+                counts: run_march_lane_masks(walk, lanes, background, mode, lane_scratch)
+                    .iter()
+                    .map(|detection| detection.mismatches as u32)
+                    .collect(),
             },
-            Boxed(&'a [usize]),
-            Serial(usize),
-        }
-        enum Record<O> {
-            Lane { position: usize, mismatches: u32 },
-            Parked((usize, O)),
-        }
-        let mut work: Vec<Work> = Vec::with_capacity(plan.cohorts().len());
-        let mut lane_cursor = 0usize;
-        for cohort in plan.cohorts() {
-            match cohort {
-                Cohort::Lanes(_) => {
-                    let (start, len) = lane_ranges[lane_cursor];
-                    lane_cursor += 1;
-                    let (start, len) = (start as usize, len as usize);
-                    work.push(Work::Lanes {
-                        start,
-                        lanes: &packed_lanes[start..start + len],
-                    });
-                }
-                Cohort::BoxedLanes(indices) => work.push(Work::Boxed(indices)),
-                Cohort::Serial(index) => work.push(Work::Serial(*index)),
+            Work::Serial(index) => {
+                let scratch = scratch.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
+                let (_, detected, mismatches) =
+                    simulate_fault_counts_on_walk(walk, scratch, faults[index](), background, mode);
+                Record::Serial(index, detected, mismatches)
             }
-        }
-        let tagged = par_chunk_flat_map_balanced_scratch(&work, threads, |chunk, worker| {
-            let mut scratch: Option<GoodMemory> = None;
-            let mut records: Vec<Record<O>> = Vec::new();
-            // The kernel dispatch buffers live in the claiming worker's
-            // pool scratch, so every chunk the worker claims — across the
-            // whole sweep — reuses one set of allocations.
+        };
+    let records: Vec<Record> = if threads <= 1 {
+        // One set of kernel dispatch buffers serves every cohort of the
+        // sweep — the serial analogue of the per-worker scratch reuse
+        // below.
+        let mut lane_scratch = LaneScratch::new();
+        let mut scratch = None;
+        work.iter()
+            .map(|item| run(item, &mut lane_scratch, &mut scratch))
+            .collect()
+    } else {
+        // Lock-free fan-out: lane cohorts are read-only slices of the
+        // packed array, which the kernel lowers in place. The dispatch
+        // buffers live in the claiming worker's pool scratch, so every
+        // chunk the worker claims reuses one set of allocations.
+        par_chunk_flat_map_balanced_scratch(&work, threads, |chunk, worker| {
             let lane_scratch: &mut LaneScratch = worker.get_or_insert_with(LaneScratch::new);
-            for item in chunk {
-                match item {
-                    Work::Lanes { start, lanes } => {
-                        let detections =
-                            run_march_lane_masks(walk, lanes, background, mode, lane_scratch);
-                        records.extend(detections.iter().enumerate().map(|(offset, detection)| {
-                            Record::Lane {
-                                position: start + offset,
-                                mismatches: detection.mismatches as u32,
-                            }
-                        }));
-                    }
-                    Work::Boxed(indices) => {
-                        let mut lanes = Vec::with_capacity(indices.len());
-                        let mut instances = Vec::with_capacity(indices.len());
-                        for &index in *indices {
-                            let fault = faults[index]();
-                            lanes.push(
-                                fault
-                                    .lane_form()
-                                    .expect("planned boxed faults have lane forms"),
-                            );
-                            instances.push(fault);
-                        }
-                        let detections = run_march_lanes_scratch(
-                            walk,
-                            &mut lanes,
-                            background,
-                            mode,
-                            lane_scratch,
-                        );
-                        records.extend(indices.iter().zip(instances).zip(detections).map(
-                            |((&index, fault), detection)| {
-                                Record::Parked((
-                                    index,
-                                    assemble(
-                                        fault.as_ref(),
-                                        detection.detected,
-                                        detection.mismatches,
-                                    ),
-                                ))
-                            },
-                        ));
-                    }
-                    Work::Serial(index) => {
-                        let scratch =
-                            scratch.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
-                        let (fault, detected, mismatches) = simulate_fault_counts_on_walk(
-                            walk,
-                            scratch,
-                            faults[*index](),
-                            background,
-                            mode,
-                        );
-                        records.push(Record::Parked((
-                            *index,
-                            assemble(fault.as_ref(), detected, mismatches),
-                        )));
-                    }
-                }
+            let mut scratch = None;
+            chunk
+                .iter()
+                .map(|item| run(item, lane_scratch, &mut scratch))
+                .collect()
+        })
+    };
+
+    let mut counts_packed = vec![0u32; packed_lanes.len()];
+    let mut parked: Vec<(usize, bool, usize)> = Vec::new();
+    for record in records {
+        match record {
+            Record::Lanes { start, counts } => {
+                counts_packed[start..start + counts.len()].copy_from_slice(&counts);
             }
-            records
-        });
-        for record in tagged {
-            match record {
-                Record::Lane {
-                    position,
-                    mismatches,
-                } => counts_packed[position] = mismatches,
-                Record::Parked(entry) => parked.push(entry),
+            Record::Serial(index, detected, mismatches) => {
+                parked.push((index, detected, mismatches));
             }
         }
     }
 
-    // Scatter stage: one list-order pass; lane outcomes are read through
-    // the inverse permutation, parked (boxed/serial) outcomes merge in by
-    // index.
-    parked.sort_unstable_by_key(|(index, _)| *index);
+    // Scatter stage: one list-order pass; lane results are read through
+    // the inverse permutation, parked serial results merge in by index.
+    parked.sort_unstable_by_key(|&(index, ..)| index);
     let mut parked = parked.into_iter().peekable();
-    (0..probes.len())
-        .map(|index| {
-            if parked.peek().is_some_and(|(i, _)| *i == index) {
-                return parked.next().expect("peeked").1;
+    probes
+        .faults
+        .into_iter()
+        .enumerate()
+        .map(|(index, fault)| {
+            if let Some((_, detected, mismatches)) = parked.next_if(|&(i, ..)| i == index) {
+                return (fault, detected, mismatches);
             }
             let position = packed_of_fault[index];
             debug_assert_ne!(position, UNPACKED, "non-parked faults ride lane cohorts");
-            let fault = probes.faults[index]
-                .as_ref()
-                .expect("lane probes keep their fault");
             let count = counts_packed[position as usize];
-            assemble(fault.as_ref(), count > 0, count as usize)
+            (fault, count > 0, count as usize)
         })
         .collect()
 }
@@ -1036,31 +813,19 @@ mod tests {
             .collect()
     }
 
-    /// A delegating wrapper that hides its inner fault's inline lane kind
-    /// and only exposes the boxed lane form — the external-fault escape
-    /// hatch, as a test double.
-    #[derive(Debug)]
-    struct BoxedOnly(Box<dyn Fault>);
-
-    impl Fault for BoxedOnly {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-        fn kind(&self) -> crate::faults::FaultKind {
-            self.0.kind()
-        }
-        fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
-            self.0.write(memory, address, value);
-        }
-        fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
-            self.0.read(memory, address)
-        }
-        fn involved_addresses(&self) -> Option<Vec<Address>> {
-            self.0.involved_addresses()
-        }
-        fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-            self.0.lane_form()
-        }
+    /// The batched sweep's results with each instance rendered by name,
+    /// so runs can be compared.
+    fn results(
+        walk: &MarchWalk,
+        faults: &[FaultFactory],
+        mode: DetectionMode,
+        threads: usize,
+        planner: CohortPlanner,
+    ) -> Vec<(String, bool, usize)> {
+        sweep_batched(walk, faults, false, mode, threads, planner)
+            .into_iter()
+            .map(|(fault, detected, mismatches)| (fault.name(), detected, mismatches))
+            .collect()
     }
 
     #[test]
@@ -1114,15 +879,20 @@ mod tests {
             .iter()
             .all(|cohort| matches!(cohort, Cohort::Serial(_))));
         // The serial fallback still yields outcomes in list order.
-        let outcomes = sweep_batched(&walk, &faults, false, DetectionMode::Full, 1);
+        let outcomes = results(
+            &walk,
+            &faults,
+            DetectionMode::Full,
+            1,
+            CohortPlanner::default(),
+        );
         assert_eq!(outcomes.len(), 4);
-        assert_eq!(outcomes[3].fault_name, "SAF0@3");
+        assert_eq!(outcomes[3].0, "SAF0@3");
     }
 
     #[test]
-    fn faults_without_a_lane_form_fall_back_to_the_serial_path() {
-        /// A fault that keeps the default `lane_kind`/`lane_form` of
-        /// `None`.
+    fn faults_without_a_lane_kind_fall_back_to_the_serial_path() {
+        /// A fault that keeps the default `lane_kind` of `None`.
         #[derive(Debug)]
         struct Opaque;
         impl Fault for Opaque {
@@ -1150,39 +920,16 @@ mod tests {
             2,
             "one serial singleton + one lane cohort"
         );
-        let outcomes = sweep_batched(&walk, &faults, false, DetectionMode::FirstMismatch, 1);
-        assert_eq!(outcomes[1].fault_name, "OPAQUE");
-        assert!(outcomes[1].detected, "stuck-at-1-everything is detected");
-    }
-
-    #[test]
-    fn boxed_escape_hatch_faults_ride_boxed_cohorts_with_identical_results() {
-        // Faults that only expose the boxed lane form (external types)
-        // batch into `Cohort::BoxedLanes` and produce outcomes identical
-        // to the same faults riding inline enum cohorts — serial and
-        // parallel.
-        let organization = ArrayOrganization::new(8, 8).unwrap();
-        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-        let inline: Vec<FaultFactory> = standard_fault_list(&organization);
-        let boxed: Vec<FaultFactory> = standard_fault_list(&organization)
-            .into_iter()
-            .map(|factory| {
-                let wrapped: FaultFactory = Box::new(move || Box::new(BoxedOnly(factory())));
-                wrapped
-            })
-            .collect();
-        let plan = FaultBatch::plan(&walk, &boxed);
-        assert_eq!(plan.lane_fault_count(), boxed.len());
-        assert!(plan
-            .cohorts()
-            .iter()
-            .all(|cohort| matches!(cohort, Cohort::BoxedLanes(_))));
-        for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let reference = sweep_batched(&walk, &inline, false, mode, 1);
-            for threads in [1, 4] {
-                let via_boxed = sweep_batched(&walk, &boxed, false, mode, threads);
-                assert_eq!(reference, via_boxed, "{mode:?} threads={threads}");
-            }
+        for threads in [1, 4] {
+            let outcomes = results(
+                &walk,
+                &faults,
+                DetectionMode::FirstMismatch,
+                threads,
+                CohortPlanner::default(),
+            );
+            assert_eq!(outcomes[1].0, "OPAQUE");
+            assert!(outcomes[1].1, "stuck-at-1-everything is detected");
         }
     }
 
@@ -1211,15 +958,8 @@ mod tests {
         );
         // Same results either way, in fault-list order.
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let a = sweep_batched_with(&walk, &faults, false, mode, 1, CohortPlanner::AddressAware);
-            let b = sweep_batched_with(
-                &walk,
-                &faults,
-                false,
-                mode,
-                1,
-                CohortPlanner::ListOrderGreedy,
-            );
+            let a = results(&walk, &faults, mode, 1, CohortPlanner::AddressAware);
+            let b = results(&walk, &faults, mode, 1, CohortPlanner::ListOrderGreedy);
             assert_eq!(a, b, "{mode:?}");
         }
     }
@@ -1243,75 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_forms_exceeding_the_address_budget_fall_back_to_the_serial_path() {
-        use crate::executor::COHORT_ADDRESS_BUDGET;
-        use crate::memory::LaneMemory;
-
-        /// A fault whose lane form claims more involved addresses than
-        /// one cohort may span — the planner must not hand it to the
-        /// kernel as a lane cohort.
-        #[derive(Debug, Clone, Copy)]
-        struct WideFault;
-        impl Fault for WideFault {
-            fn name(&self) -> String {
-                "WIDE".into()
-            }
-            fn kind(&self) -> crate::faults::FaultKind {
-                crate::faults::FaultKind::StuckAt
-            }
-            fn write(&mut self, memory: &mut GoodMemory, address: Address, _value: bool) {
-                memory.set(address, true);
-            }
-            fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
-                memory.get(address)
-            }
-            fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-                Some(Box::new(*self))
-            }
-        }
-        impl LaneFault for WideFault {
-            fn involved(&self) -> Vec<Address> {
-                (0..COHORT_ADDRESS_BUDGET as u32 + 1)
-                    .map(Address::new)
-                    .collect()
-            }
-            fn lane_write(
-                &mut self,
-                memory: &mut LaneMemory,
-                lane: u32,
-                address: Address,
-                _value: bool,
-            ) {
-                memory.set_lane(address, lane, true);
-            }
-            fn lane_read(
-                &mut self,
-                memory: &mut LaneMemory,
-                lane: u32,
-                address: Address,
-                _sensed: bool,
-            ) -> bool {
-                memory.get_lane(address, lane)
-            }
-        }
-        let organization = ArrayOrganization::new(32, 16).unwrap();
-        let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
-        let mut faults = saf_list(2);
-        faults.insert(1, Box::new(|| Box::new(WideFault)));
-        let plan = FaultBatch::plan(&walk, &faults);
-        assert_eq!(plan.lane_fault_count(), 2, "the wide fault runs serially");
-        assert!(plan
-            .cohorts()
-            .iter()
-            .any(|cohort| matches!(cohort, Cohort::Serial(1))));
-        // The sweep still completes (through the per-fault path) and
-        // keeps fault-list order.
-        let outcomes = sweep_batched(&walk, &faults, false, DetectionMode::Full, 1);
-        assert_eq!(outcomes[1].fault_name, "WIDE");
-        assert!(outcomes[1].detected, "stuck-at-1-everything is detected");
-    }
-
-    #[test]
     fn batched_sweep_is_identical_serial_and_parallel() {
         let organization = org();
         let walk = MarchWalk::new(
@@ -1321,8 +992,8 @@ mod tests {
         );
         let faults = standard_fault_list(&organization);
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let serial = sweep_batched(&walk, &faults, false, mode, 1);
-            let parallel = sweep_batched(&walk, &faults, false, mode, 8);
+            let serial = results(&walk, &faults, mode, 1, CohortPlanner::default());
+            let parallel = results(&walk, &faults, mode, 8, CohortPlanner::default());
             assert_eq!(serial, parallel, "{mode:?}");
         }
     }

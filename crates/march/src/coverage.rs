@@ -1,16 +1,21 @@
 //! Fault-coverage evaluation over a fault list.
 //!
-//! [`evaluate_coverage`] is the sweep driver on top of the executor
-//! kernel: it precomputes one [`MarchWalk`] per `(test, order,
-//! organization)`, reuses one scratch memory per worker across the whole
-//! fault list, and — via [`SweepOptions`] — optionally stops each
-//! simulation at the first mismatch and fans the work out across threads.
-//! By default the sweep rides the lane-batched backend
-//! ([`crate::batch`]): compatible faults are grouped into ≤64-lane
-//! cohorts that share one walk dispatch each, with the per-fault path
-//! kept as the golden reference ([`SweepBackend::PerFault`]). Both
-//! backends, serial or parallel, produce **identical** reports: outcomes
-//! are kept in fault-list order regardless of scheduling.
+//! [`evaluate_coverage_interned_on_walk`] is the crate's one sweep driver
+//! on top of the executor kernel: it takes one precomputed [`MarchWalk`]
+//! per `(test, order, organization)`, reuses one scratch memory per
+//! worker across the whole fault list, and — via [`SweepOptions`] —
+//! optionally stops each simulation at the first mismatch and fans the
+//! work out across threads. By default the sweep rides the lane-batched
+//! backend ([`crate::batch`]): compatible faults are grouped into
+//! ≤64-lane cohorts that share one walk dispatch each, with the per-fault
+//! path kept as the golden reference ([`SweepBackend::PerFault`]). Every
+//! backend, serial or parallel, produces an **identical** report:
+//! outcomes are kept in fault-list order regardless of scheduling, and
+//! interned into one [`InternedSweep`].
+//!
+//! [`evaluate_coverage`] is the seed API on top of it — build the walk,
+//! sweep with the default options, [`materialize`](InternedSweep::materialize)
+//! the string-bearing [`CoverageReport`].
 
 use std::collections::BTreeMap;
 
@@ -18,11 +23,9 @@ use sram_model::config::ArrayOrganization;
 
 use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
-use crate::batch::{sweep_batched_assemble, sweep_batched_with, CohortPlanner};
+use crate::batch::{sweep_batched, CohortPlanner};
 use crate::executor::MarchWalk;
-use crate::fault_sim::{
-    simulate_fault_counts_on_walk, simulate_fault_on_walk, DetectionMode, FaultSimOutcome,
-};
+use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
 use crate::faults::{FaultFactory, FaultKind};
 use crate::intern::{InternedSweep, NameTable, OutcomeCode};
 use crate::memory::GoodMemory;
@@ -202,154 +205,15 @@ impl CoverageReport {
     }
 }
 
-/// Simulates every fault in `faults` over a precomputed `walk`.
-///
-/// This is the sweep driver. Under the default
-/// [`SweepBackend::LaneBatched`] the list is planned into ≤64-lane
-/// cohorts that each share one walk dispatch (threads take whole cohorts
-/// when `parallel` is set). Under [`SweepBackend::PerFault`] serial
-/// sweeps reuse one scratch memory for the entire list and parallel
-/// sweeps give each worker thread its own scratch memory and a contiguous
-/// chunk of the list. Either way the outcomes are reassembled in
-/// fault-list order, so every backend/threading combination yields an
-/// identical report.
-pub fn evaluate_coverage_on_walk(
-    walk: &MarchWalk,
-    faults: &[FaultFactory],
-    options: SweepOptions,
-) -> CoverageReport {
-    let threads = if options.parallel { max_threads() } else { 1 };
-    let outcomes = match options.backend {
-        SweepBackend::LaneBatched | SweepBackend::LaneBatchedListOrder => {
-            let planner = match options.backend {
-                SweepBackend::LaneBatchedListOrder => CohortPlanner::ListOrderGreedy,
-                _ => CohortPlanner::AddressAware,
-            };
-            sweep_batched_with(
-                walk,
-                faults,
-                options.background,
-                options.mode,
-                threads,
-                planner,
-            )
-        }
-        SweepBackend::PerFault => {
-            let sweep_chunk = |chunk: &[FaultFactory]| -> Vec<FaultSimOutcome> {
-                let mut scratch = GoodMemory::new(walk.capacity());
-                chunk
-                    .iter()
-                    .map(|factory| {
-                        simulate_fault_on_walk(
-                            walk,
-                            &mut scratch,
-                            factory(),
-                            options.background,
-                            options.mode,
-                        )
-                    })
-                    .collect()
-            };
-            par_chunk_map(faults, threads, sweep_chunk)
-        }
-    };
-    CoverageReport::new(walk.test_name(), walk.order_name(), outcomes)
-}
-
-/// Simulates every fault in `faults` under `test`/`order` with explicit
-/// sweep options, precomputing the walk once for the whole list.
-pub fn evaluate_coverage_with(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultFactory],
-    options: SweepOptions,
-) -> CoverageReport {
-    let walk = MarchWalk::new(test, order, organization);
-    evaluate_coverage_on_walk(&walk, faults, options)
-}
-
-/// Simulates every fault in `faults` under `test`/`order` and aggregates
-/// the outcomes (full mismatch counts, single-threaded, on the default
-/// lane-batched backend — report-identical to the seed API's serial
-/// per-fault sweep; use [`evaluate_coverage_with`] and
-/// [`SweepOptions::fast`] for throughput sweeps).
-pub fn evaluate_coverage(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultFactory],
-) -> CoverageReport {
-    evaluate_coverage_with(test, order, organization, faults, SweepOptions::default())
-}
-
-/// A panic captured by the panic-safe sweep wrappers: the payload rendered
-/// as a string, so callers can journal, retry or quarantine the job
-/// without the panic unwinding through their worker pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepPanic {
-    /// The panic payload (`&str`/`String` payloads verbatim, anything else
-    /// as a placeholder).
-    pub message: String,
-}
-
-impl std::fmt::Display for SweepPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for SweepPanic {}
-
-/// Renders a caught panic payload as a string: `&str` and `String`
-/// payloads verbatim (the overwhelmingly common case — `panic!` with a
-/// message), anything else as a placeholder.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The panic-safe job-level sweep entry point: like
-/// [`evaluate_coverage_with`], but a panic anywhere inside the sweep — a
-/// misbehaving fault model, a lane form violating its involved-address
-/// contract, an assertion in the kernel — is caught and returned as a
-/// [`SweepPanic`] instead of unwinding into the caller. This is what lets
-/// a campaign worker pool treat a panicking fault model as *one failed
-/// job* rather than a dead campaign.
-///
-/// The sweep mutates only state it owns (scratch memories, outcome
-/// buffers), so a caught panic leaves no observable inconsistency behind;
-/// `AssertUnwindSafe` is sound here.
-pub fn evaluate_coverage_caught(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultFactory],
-    options: SweepOptions,
-) -> Result<CoverageReport, SweepPanic> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        evaluate_coverage_with(test, order, organization, faults, options)
-    }))
-    .map_err(|payload| SweepPanic {
-        message: panic_message(&*payload),
-    })
-}
-
 /// Per-fault result carried between the sweep workers and the final
 /// intern pass: the rendered instance name plus the raw counts. One
-/// string per fault — the test/order copies of the classic path are
-/// gone, and the name moves into the [`NameTable`] without reallocating.
+/// string per fault, moved into the [`NameTable`] without reallocating.
 type RawOutcome = (String, FaultKind, bool, usize);
 
 /// Folds sweep-ordered raw outcomes into an [`InternedSweep`]: one
 /// serial pass pushing each name into the table and compressing the
 /// counts into 16-byte [`OutcomeCode`]s.
-fn intern_outcomes(walk: &MarchWalk, raw: Vec<RawOutcome>) -> InternedSweep {
+fn intern_outcomes(walk: &MarchWalk, raw: impl IntoIterator<Item = RawOutcome>) -> InternedSweep {
     let mut names = NameTable::new();
     let test = names.intern(walk.test_name());
     let order = names.intern(walk.order_name());
@@ -365,37 +229,35 @@ fn intern_outcomes(walk: &MarchWalk, raw: Vec<RawOutcome>) -> InternedSweep {
     InternedSweep::new(test, order, names, codes)
 }
 
-/// The interned twin of [`evaluate_coverage_on_walk`]: the same kernel,
-/// planner and threading, but outcomes assemble into an
-/// [`InternedSweep`] — one name string per fault instead of three, and a
-/// 16-byte code instead of a fat outcome struct. The result's
-/// [`digest`](InternedSweep::digest) is bit-identical to the classic
-/// report's, and [`materialize`](InternedSweep::materialize) recovers
-/// the classic report exactly.
+/// Simulates every fault in `faults` over a precomputed `walk` — the
+/// crate's sweep driver.
+///
+/// Under the default [`SweepBackend::LaneBatched`] the list is planned
+/// into ≤64-lane cohorts that each share one walk dispatch (threads take
+/// whole cohorts when `parallel` is set; see [`sweep_batched`]). Under
+/// [`SweepBackend::PerFault`] each worker reuses one scratch memory for a
+/// contiguous chunk of the list. Either way the outcomes are reassembled
+/// in fault-list order into an [`InternedSweep`] — one name string per
+/// fault and a 16-byte code — so every backend/threading combination
+/// yields an identical report; [`InternedSweep::materialize`] recovers the
+/// string-bearing [`CoverageReport`] exactly.
+///
+/// # Panics
+///
+/// A panic inside a fault model or the kernel propagates to the caller
+/// with its original payload, serial or parallel; campaign workers catch
+/// it around the whole job.
 pub fn evaluate_coverage_interned_on_walk(
     walk: &MarchWalk,
     faults: &[FaultFactory],
     options: SweepOptions,
 ) -> InternedSweep {
     let threads = if options.parallel { max_threads() } else { 1 };
-    let raw: Vec<RawOutcome> = match options.backend {
-        SweepBackend::LaneBatched | SweepBackend::LaneBatchedListOrder => {
-            let planner = match options.backend {
-                SweepBackend::LaneBatchedListOrder => CohortPlanner::ListOrderGreedy,
-                _ => CohortPlanner::AddressAware,
-            };
-            sweep_batched_assemble(
-                walk,
-                faults,
-                options.background,
-                options.mode,
-                threads,
-                planner,
-                &|fault, detected, mismatches| (fault.name(), fault.kind(), detected, mismatches),
-            )
-        }
+    let planner = match options.backend {
+        SweepBackend::LaneBatched => CohortPlanner::AddressAware,
+        SweepBackend::LaneBatchedListOrder => CohortPlanner::ListOrderGreedy,
         SweepBackend::PerFault => {
-            let sweep_chunk = |chunk: &[FaultFactory]| -> Vec<RawOutcome> {
+            let raw = par_chunk_map(faults, threads, |chunk| -> Vec<RawOutcome> {
                 let mut scratch = GoodMemory::new(walk.capacity());
                 chunk
                     .iter()
@@ -410,44 +272,39 @@ pub fn evaluate_coverage_interned_on_walk(
                         (fault.name(), fault.kind(), detected, mismatches)
                     })
                     .collect()
-            };
-            par_chunk_map(faults, threads, sweep_chunk)
+            });
+            return intern_outcomes(walk, raw);
         }
     };
-    intern_outcomes(walk, raw)
+    let swept = sweep_batched(
+        walk,
+        faults,
+        options.background,
+        options.mode,
+        threads,
+        planner,
+    );
+    intern_outcomes(
+        walk,
+        swept.into_iter().map(|(fault, detected, mismatches)| {
+            (fault.name(), fault.kind(), detected, mismatches)
+        }),
+    )
 }
 
-/// The interned twin of [`evaluate_coverage_with`]: precomputes the walk
-/// once and sweeps into an [`InternedSweep`].
-pub fn evaluate_coverage_interned(
+/// Simulates every fault in `faults` under `test`/`order` and aggregates
+/// the outcomes: the walk is built once, swept by
+/// [`evaluate_coverage_interned_on_walk`] with the default options (full
+/// mismatch counts, single-threaded, lane-batched — report-identical to
+/// the seed API's serial per-fault sweep) and materialized.
+pub fn evaluate_coverage(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
     faults: &[FaultFactory],
-    options: SweepOptions,
-) -> InternedSweep {
+) -> CoverageReport {
     let walk = MarchWalk::new(test, order, organization);
-    evaluate_coverage_interned_on_walk(&walk, faults, options)
-}
-
-/// The panic-safe interned sweep — the [`InternedSweep`] counterpart of
-/// [`evaluate_coverage_caught`], with the same unwind-safety argument:
-/// the sweep mutates only state it owns, so a caught panic leaves no
-/// observable inconsistency behind. This is the entry point campaign
-/// workers use.
-pub fn evaluate_coverage_interned_caught(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultFactory],
-    options: SweepOptions,
-) -> Result<InternedSweep, SweepPanic> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        evaluate_coverage_interned(test, order, organization, faults, options)
-    }))
-    .map_err(|payload| SweepPanic {
-        message: panic_message(&*payload),
-    })
+    evaluate_coverage_interned_on_walk(&walk, faults, SweepOptions::default()).materialize()
 }
 
 #[cfg(test)]
@@ -459,6 +316,18 @@ mod tests {
 
     fn org() -> ArrayOrganization {
         ArrayOrganization::new(4, 4).unwrap()
+    }
+
+    /// Sweeps `faults` under `test` in word-line order through the driver
+    /// and materializes the string-bearing report.
+    fn sweep(
+        test: &MarchTest,
+        organization: &ArrayOrganization,
+        faults: &[FaultFactory],
+        options: SweepOptions,
+    ) -> CoverageReport {
+        let walk = MarchWalk::new(test, &WordLineAfterWordLine, organization);
+        evaluate_coverage_interned_on_walk(&walk, faults, options).materialize()
     }
 
     #[test]
@@ -519,9 +388,8 @@ mod tests {
         let faults = standard_fault_list(&organization);
         for test in library::table1_algorithms() {
             for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                let reference = evaluate_coverage_with(
+                let reference = sweep(
                     &test,
-                    &WordLineAfterWordLine,
                     &organization,
                     &faults,
                     SweepOptions {
@@ -537,9 +405,8 @@ mod tests {
                     SweepBackend::LaneBatchedListOrder,
                 ] {
                     for parallel in [false, true] {
-                        let other = evaluate_coverage_with(
+                        let other = sweep(
                             &test,
-                            &WordLineAfterWordLine,
                             &organization,
                             &faults,
                             SweepOptions {
@@ -588,20 +455,18 @@ mod tests {
                             parallel,
                             backend,
                         };
-                        let classic = evaluate_coverage_with(
+                        let classic = sweep(
                             &test,
-                            &WordLineAfterWordLine,
                             &organization,
                             &faults,
-                            options,
+                            SweepOptions {
+                                backend: SweepBackend::PerFault,
+                                parallel: false,
+                                ..options
+                            },
                         );
-                        let interned = evaluate_coverage_interned(
-                            &test,
-                            &WordLineAfterWordLine,
-                            &organization,
-                            &faults,
-                            options,
-                        );
+                        let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
+                        let interned = evaluate_coverage_interned_on_walk(&walk, &faults, options);
                         let context = format!(
                             "{} ({mode:?}, {backend:?}, parallel={parallel})",
                             test.name()
@@ -622,49 +487,12 @@ mod tests {
     }
 
     #[test]
-    fn interned_caught_sweep_agrees_with_the_classic_caught_sweep() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let test = library::march_ss();
-        let classic = evaluate_coverage_caught(
-            &test,
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::fast(),
-        )
-        .expect("classic sweep completes");
-        let interned = evaluate_coverage_interned_caught(
-            &test,
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::fast(),
-        )
-        .expect("interned sweep completes");
-        assert_eq!(interned.digest(), classic.digest());
-        assert_eq!(interned.materialize(), classic);
-    }
-
-    #[test]
     fn fast_sweep_detects_exactly_the_same_faults_as_the_golden_one() {
         let organization = org();
         let faults = standard_fault_list(&organization);
         for test in library::table1_algorithms() {
-            let full = evaluate_coverage_with(
-                &test,
-                &WordLineAfterWordLine,
-                &organization,
-                &faults,
-                SweepOptions::golden(),
-            );
-            let fast = evaluate_coverage_with(
-                &test,
-                &WordLineAfterWordLine,
-                &organization,
-                &faults,
-                SweepOptions::fast(),
-            );
+            let full = sweep(&test, &organization, &faults, SweepOptions::golden());
+            let fast = sweep(&test, &organization, &faults, SweepOptions::fast());
             assert_eq!(
                 full.detected_fault_names(),
                 fast.detected_fault_names(),
@@ -685,9 +513,8 @@ mod tests {
         let organization = ArrayOrganization::new(8, 8).unwrap();
         let population = FaultGen::new(organization, 0xD15E).dense_profile(300);
         assert!(population.len() >= 300);
-        let golden = evaluate_coverage_with(
+        let golden = sweep(
             &library::march_ss(),
-            &WordLineAfterWordLine,
             &organization,
             &population,
             SweepOptions::golden(),
@@ -699,9 +526,8 @@ mod tests {
             SweepBackend::LaneBatchedListOrder,
         ] {
             for parallel in [false, true] {
-                let batched = evaluate_coverage_with(
+                let batched = sweep(
                     &library::march_ss(),
-                    &WordLineAfterWordLine,
                     &organization,
                     &population,
                     SweepOptions {
@@ -752,33 +578,15 @@ mod tests {
     }
 
     #[test]
-    fn caught_sweep_returns_the_report_on_success() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let direct = evaluate_coverage(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
-        let caught = evaluate_coverage_caught(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::default(),
-        )
-        .expect("healthy sweep must not panic");
-        assert_eq!(direct, caught);
-    }
-
-    #[test]
     fn caught_sweep_reports_a_panicking_fault_model_as_an_error() {
-        use crate::faults::{Fault, FaultKind};
+        use crate::faults::{standard_fault_list, Fault};
         use sram_model::address::Address;
 
-        // A fault model that panics on its first read: the wrapper must
-        // catch it and surface the payload message.
+        // A fault model with no lane kind that panics on its first read:
+        // it runs as a serial singleton under the batched backends (next
+        // to the standard list's lane cohorts, so parallel sweeps really
+        // fan out) and through the per-fault path otherwise. Whichever
+        // thread runs it, the caller must see the model's own payload.
         #[derive(Debug)]
         struct ExplodingFault;
         impl Fault for ExplodingFault {
@@ -790,7 +598,7 @@ mod tests {
             }
             fn write(&mut self, _memory: &mut GoodMemory, _address: Address, _value: bool) {}
             fn read(&mut self, _memory: &mut GoodMemory, _address: Address) -> bool {
-                panic!("faultpoint: exploding fault model")
+                panic!("exploding fault model")
             }
             fn involved_addresses(&self) -> Option<Vec<Address>> {
                 Some(vec![Address::new(0)])
@@ -798,21 +606,39 @@ mod tests {
         }
 
         let organization = org();
-        let faults: Vec<crate::faults::FaultFactory> =
-            vec![Box::new(|| Box::new(ExplodingFault) as Box<dyn Fault>)];
-        let error = evaluate_coverage_caught(
-            &library::mats_plus(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::golden(),
-        )
-        .expect_err("the exploding model must surface as SweepPanic");
-        assert!(
-            error.message.contains("exploding fault model"),
-            "payload lost: {error}"
-        );
-        assert!(error.to_string().starts_with("sweep panicked:"));
+        let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
+        let mut faults = standard_fault_list(&organization);
+        faults.push(Box::new(|| Box::new(ExplodingFault) as Box<dyn Fault>));
+        faults.extend(standard_fault_list(&organization));
+        for backend in [
+            SweepBackend::LaneBatched,
+            SweepBackend::LaneBatchedListOrder,
+            SweepBackend::PerFault,
+        ] {
+            for parallel in [false, true] {
+                for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
+                    let options = SweepOptions {
+                        background: false,
+                        mode,
+                        parallel,
+                        backend,
+                    };
+                    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        evaluate_coverage_interned_on_walk(&walk, &faults, options)
+                    }))
+                    .expect_err("the exploding model must panic the sweep");
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+                    assert_eq!(
+                        message,
+                        Some("exploding fault model"),
+                        "payload lost ({backend:?}, parallel={parallel}, {mode:?})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

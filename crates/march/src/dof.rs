@@ -12,7 +12,8 @@ use sram_model::config::ArrayOrganization;
 
 use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
-use crate::coverage::{evaluate_coverage_with, CoverageReport, SweepOptions};
+use crate::coverage::{evaluate_coverage_interned_on_walk, CoverageReport, SweepOptions};
+use crate::executor::MarchWalk;
 use crate::faults::FaultFactory;
 
 /// The six degrees of freedom of March tests, as enumerated in the memory
@@ -142,8 +143,8 @@ impl OrderIndependenceReport {
 }
 
 /// Evaluates `test` over `faults` under each of `orders` with explicit
-/// sweep options and packages the comparison. One [`crate::executor::MarchWalk`]
-/// is precomputed per order and shared across the whole fault list.
+/// sweep options and packages the comparison. One [`MarchWalk`] is
+/// precomputed per order and shared across the whole fault list.
 pub fn verify_order_independence_with(
     test: &MarchTest,
     orders: &[&dyn AddressOrder],
@@ -153,7 +154,10 @@ pub fn verify_order_independence_with(
 ) -> OrderIndependenceReport {
     let reports = orders
         .iter()
-        .map(|order| evaluate_coverage_with(test, *order, organization, faults, options))
+        .map(|order| {
+            let walk = MarchWalk::new(test, *order, organization);
+            evaluate_coverage_interned_on_walk(&walk, faults, options).materialize()
+        })
         .collect();
     OrderIndependenceReport {
         test_name: test.name().to_string(),

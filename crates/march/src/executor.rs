@@ -23,9 +23,8 @@
 //!   kernel every cohort of the crate's own fault models runs: it lowers
 //!   the cohort to per-cell lane masks once, then runs each step as a few
 //!   whole-word `u64` operations. [`run_march_lanes`] dispatches each
-//!   owner lane's [`LaneFault`] form per step instead; it is the path of
-//!   boxed (external) lane forms and the reference the masked kernel is
-//!   tested against.
+//!   owner lane's [`LaneFault`] form per step instead; no sweep runs it,
+//!   it is the reference the masked kernel is tested against.
 //!
 //! [`MarchWalk::steps`] exposes the same traversal as an iterator of
 //! [`MarchStep`]s so that higher layers (the low-power test engine in the
@@ -642,13 +641,10 @@ fn lane_mask(lanes: usize) -> u64 {
 /// dispatching every owner lane's [`LaneFault`] form per step — the
 /// per-owner cohort kernel.
 ///
-/// The kernel is generic over the lane representation. The sweep runs it
-/// for the external-fault escape hatch (`&mut [Box<dyn LaneFault>]`,
-/// virtual dispatch); cohorts of the crate's own models
-/// (`[LaneFaultKind]`) run the word-parallel [`run_march_lane_masks`]
-/// instead, which this kernel over the same models' per-lane specs is the
-/// reference for. Every instantiation runs the identical algorithm, so
-/// their results are interchangeable.
+/// No sweep runs this kernel: cohorts of the crate's own models
+/// (`[LaneFaultKind]`) run the word-parallel [`run_march_lane_masks`],
+/// and this kernel over the same models' per-lane [`LaneFault`] specs is
+/// the independent reference the masked kernel is tested against.
 ///
 /// Each element of `lanes` owns the bit lane of its position in the slice:
 /// a sparse [`LaneMemory`] over the cohort's merged involved addresses is

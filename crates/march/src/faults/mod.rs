@@ -140,43 +140,26 @@ pub trait Fault: fmt::Debug {
     /// has no [`LaneFaultKind`] variant. Every fault model of this crate
     /// returns its variant; the word-parallel cohort kernel then lowers it
     /// to lane masks once per cohort. The default is the conservative
-    /// `None`, which makes the [`crate::batch::FaultBatch`] planner try
-    /// [`Fault::lane_form`] and finally fall back to a serial singleton
-    /// cohort.
+    /// `None`, which makes the [`crate::batch::FaultBatch`] planner run
+    /// the fault as a serial singleton on the per-fault path.
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         None
-    }
-
-    /// The boxed lane-masked injection form of this fault — the
-    /// extensibility escape hatch for *external* fault types that cannot
-    /// add a [`LaneFaultKind`] variant. The returned object must
-    /// reproduce this fault's behaviour exactly, confined to one bit lane
-    /// of a [`LaneMemory`]; the planner batches such faults into separate
-    /// boxed cohorts that run the per-owner kernel
-    /// ([`crate::executor::run_march_lanes`]) through virtual dispatch.
-    /// The default derives the form from [`Fault::lane_kind`], so in-crate
-    /// models need not implement it; a fault with neither runs the
-    /// per-fault path.
-    fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-        self.lane_kind()
-            .map(|kind| Box::new(kind) as Box<dyn LaneFault>)
     }
 }
 
 /// The lane-masked form of one of the crate's own fault models, stored
-/// **inline** — the devirtualized counterpart of `Box<dyn LaneFault>`.
+/// **inline**.
 ///
-/// Cohorts of the batched backend hold `Vec<LaneFaultKind>` instead of
-/// `Vec<Box<dyn LaneFault>>`: no heap allocation per fault, and because
-/// the set of models is closed, the word-parallel kernel
+/// Cohorts of the batched backend hold `Vec<LaneFaultKind>`: no heap
+/// allocation per fault, and because the set of models is closed, the
+/// word-parallel kernel
 /// ([`crate::executor::run_march_lane_masks`]) can lower a whole cohort
 /// to per-cell lane masks before it runs (each model's `lower` sits next
 /// to its per-lane spec). The [`LaneFault`] impl below keeps the enum
 /// usable by the per-owner reference kernel. The enum is `Copy` and
 /// intentionally small (a unit test pins `size_of::<LaneFaultKind>() <=
-/// 32`) so packed cohort arrays stay cache-dense; external fault types
-/// that cannot appear here use the boxed [`Fault::lane_form`] escape
-/// hatch instead.
+/// 32`) so packed cohort arrays stay cache-dense; a fault type that
+/// cannot appear here runs on the per-fault path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LaneFaultKind {
@@ -404,45 +387,18 @@ impl LaneFault for LaneFaultKind {
     }
 }
 
-/// Boxed lane forms (the external-fault escape hatch) flow through the
-/// same generic kernel as inline enum cohorts.
-impl LaneFault for Box<dyn LaneFault> {
-    fn involved(&self) -> Vec<Address> {
-        (**self).involved()
-    }
-
-    fn involved_into(&self, out: &mut Vec<Address>) {
-        (**self).involved_into(out);
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        (**self).lane_write(memory, lane, address, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        sensed_before: bool,
-    ) -> bool {
-        (**self).lane_read(memory, lane, address, sensed_before)
-    }
-}
-
 /// The lane-masked form of a fault: the same faulty behaviour as its
 /// [`Fault`], expressed over a single bit lane of a [`LaneMemory`] so that
 /// up to [`LaneMemory::LANES`] independent faults can share one walk scan
-/// ([`crate::executor::run_march_lanes`]).
+/// ([`crate::executor::run_march_lanes`], the per-owner reference the
+/// word-parallel kernel is tested against).
 ///
 /// Implementations must confine every access to the addresses returned by
-/// [`LaneFault::involved`] and to their own lane: the batched kernel
+/// [`LaneFault::involved`] and to their own lane: the per-owner kernel
 /// routes exactly the steps touching those addresses through these
 /// methods, and serves every other lane with fault-free whole-word
-/// operations. Lane forms are `Send` so parallel sweeps can hand whole
-/// cohorts of probed lane forms to worker threads instead of
-/// re-instantiating every fault per worker.
-pub trait LaneFault: fmt::Debug + Send {
+/// operations.
+pub trait LaneFault: fmt::Debug {
     /// The addresses whose walk steps must be dispatched through this
     /// lane's faulty form — every address whose read can mismatch and
     /// every address whose access can change the fault's trigger state.
@@ -656,11 +612,10 @@ mod tests {
                 .lane_kind()
                 .unwrap_or_else(|| panic!("{} has no lane kind", fault.name()));
             assert_eq!(kind.kind(), fault.kind(), "{}", fault.name());
-            // The derived boxed form (the escape hatch) and the inline
-            // involved set agree with the trait contract.
-            let boxed = fault.lane_form().expect("derived from lane_kind");
+            // The per-owner reference's involved set and the inline one
+            // agree with the trait contract.
             assert_eq!(
-                LaneFault::involved(&boxed),
+                LaneFault::involved(&kind),
                 LaneFaultKind::involved(&kind).to_vec(),
                 "{}",
                 fault.name()

@@ -19,10 +19,11 @@
 //! [`materialize`](InternedSweep::materialize) escape hatch producing the
 //! classic string-bearing report when a consumer really wants one.
 //!
-//! Sweeps produce it through
-//! [`evaluate_coverage_interned`](crate::coverage::evaluate_coverage_interned),
-//! which rides the exact same kernel and planner as the string path — only
-//! the final assembly differs.
+//! Every sweep produces it: the driver
+//! [`evaluate_coverage_interned_on_walk`](crate::coverage::evaluate_coverage_interned_on_walk)
+//! interns each backend's per-fault results into one, and
+//! [`evaluate_coverage`](crate::coverage::evaluate_coverage) materializes
+//! it for callers of the seed API.
 
 use std::fmt;
 

@@ -60,22 +60,26 @@
 //!    small op holding its partner cell's slot. Each walk step is then a
 //!    few whole-word `u64` operations with no per-lane dispatch and no
 //!    address lookup; detection is lane-wise with mask tests driving the
-//!    per-lane early exit. The per-owner kernel
+//!    per-lane early exit. A fault with no lane kind runs as a serial
+//!    singleton on the per-fault path. The per-owner kernel
 //!    ([`executor::run_march_lanes`] over a sparse
-//!    [`memory::LaneMemory`]) runs the boxed [`faults::Fault::lane_form`]
-//!    escape hatch for external fault types and is the reference the
-//!    masked kernel is tested against. Sweeps execute in **packed
+//!    [`memory::LaneMemory`] and each model's per-lane
+//!    [`faults::LaneFault`] spec) runs in no sweep; it is the reference
+//!    the masked kernel is tested against. Sweeps execute in **packed
 //!    order** with one streaming permutation for probes and outcomes, so
 //!    shuffled populations sweep at generation-ordered speed. Coverage
 //!    sweeps ride this backend by default and keep the per-fault path as
-//!    the golden reference.
+//!    the golden reference; every backend reaches the one sweep driver,
+//!    [`coverage::evaluate_coverage_interned_on_walk`], which interns the
+//!    results into one report shape ([`intern::InternedSweep`]).
 //! 6. **Address-aware cohort packing** ([`batch::CohortPlanner`]) —
 //!    cohorts are packed so faults sharing involved addresses land in the
 //!    same walk dispatch, shrinking each cohort's merged step schedule on
 //!    the dense populations synthesized by [`faultgen::FaultGen`]
 //!    (per-row/per-column victims, neighbourhood coupling sets, mixed
-//!    profiles of 100k+ faults); the list-order greedy planner is kept as
-//!    the measured baseline.
+//!    profiles of 100k+ faults); the list-order greedy planner
+//!    ([`coverage::SweepBackend::LaneBatchedListOrder`]) is kept as the
+//!    measured baseline.
 //!
 //! The `bench` crate's `fault_sim_throughput` benchmark measures the
 //! kernel in faults/second against a frozen replica of the original
@@ -101,13 +105,8 @@
 //! // Sweep a fault list with the shared-walk kernel: early-exit
 //! // detection, parallel across the list.
 //! let faults = standard_fault_list(&organization);
-//! let report = evaluate_coverage_with(
-//!     &test,
-//!     &order,
-//!     &organization,
-//!     &faults,
-//!     SweepOptions::fast(),
-//! );
+//! let walk = MarchWalk::new(&test, &order, &organization);
+//! let report = evaluate_coverage_interned_on_walk(&walk, &faults, SweepOptions::fast());
 //! assert!(report.coverage() > 0.5);
 //! # Ok::<(), sram_model::error::SramError>(())
 //! ```
@@ -141,9 +140,8 @@ pub mod prelude {
     pub use crate::background::DataBackground;
     pub use crate::batch::{Cohort, CohortPlanner, FaultBatch};
     pub use crate::coverage::{
-        evaluate_coverage, evaluate_coverage_caught, evaluate_coverage_on_walk,
-        evaluate_coverage_with, panic_message, CoverageReport, SweepBackend, SweepOptions,
-        SweepPanic,
+        evaluate_coverage, evaluate_coverage_interned_on_walk, CoverageReport, SweepBackend,
+        SweepOptions,
     };
     pub use crate::element::{AddressDirection, MarchElement};
     pub use crate::executor::{

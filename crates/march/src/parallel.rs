@@ -10,9 +10,9 @@
 //!
 //! Every fan-out below reaches the pool as [`sched::WorkKind::FaultSweep`]
 //! work items; each pool worker owns a [`WorkerScratch`] for its whole
-//! lifetime, which the `_scratch` variants expose to the chunk closure so
-//! the lane-batched hot path can reuse its dispatch buffers across chunks
-//! instead of reallocating per cohort.
+//! lifetime, which [`par_chunk_flat_map_balanced_scratch`] exposes to the
+//! chunk closure so the lane-batched hot path can reuse its dispatch
+//! buffers across chunks instead of reallocating per cohort.
 
 use std::num::NonZeroUsize;
 use std::thread;
@@ -34,81 +34,55 @@ pub fn max_threads() -> usize {
 /// `map_chunk` is called once per chunk and must return one output per
 /// input item, in order; the chunking is how workers amortise per-thread
 /// setup (e.g. one scratch memory per worker instead of one per fault).
-/// With one item, one worker, or an empty input the call degenerates to
+/// The items are split into one contiguous chunk per worker — fault
+/// simulations in the standard list have near-uniform cost, so static
+/// partitioning is within a few percent of stealing here. With one item,
+/// one worker, or an empty input the call degenerates to
 /// `map_chunk(items)` on the current thread.
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (the panic is propagated) or if `map_chunk`
-/// returns a different number of outputs than inputs for some chunk.
+/// Panics if a worker panics (the first worker's payload is propagated)
+/// or if `map_chunk` returns a different number of outputs than inputs
+/// for some chunk.
 pub fn par_chunk_map<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
 where
     T: Sync,
     R: Send + Sync,
     F: Fn(&[T]) -> Vec<R> + Sync,
 {
-    let results = par_chunk_flat_map(items, threads, map_chunk);
+    let workers = threads.clamp(1, items.len().max(1));
+    let results = sched::map_chunks(WorkKind::FaultSweep, items, workers, workers, |chunk, _| {
+        map_chunk(chunk)
+    });
     assert_eq!(results.len(), items.len(), "map_chunk must be 1:1");
     results
 }
 
-/// Like [`par_chunk_map`], but each chunk may produce any number of
-/// outputs: the per-chunk output vectors are concatenated **in input
-/// order** without the 1:1 requirement.
-///
-/// The items are split into one contiguous chunk per worker — fault
-/// simulations in the standard list have near-uniform cost, so static
-/// partitioning is within a few percent of stealing here.
-pub fn par_chunk_flat_map<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let workers = threads.clamp(1, items.len().max(1));
-    sched::map_chunks(WorkKind::FaultSweep, items, workers, workers, |chunk, _| {
-        map_chunk(chunk)
-    })
-}
-
-/// Chunk oversubscription factor of [`par_chunk_flat_map_balanced`]: the
-/// item list is split into up to this many chunks per worker, so workers
-/// that draw cheap chunks claim (steal) more instead of idling.
+/// Chunk oversubscription factor of [`par_chunk_flat_map_balanced_scratch`]:
+/// the item list is split into up to this many chunks per worker, so
+/// workers that draw cheap chunks claim (steal) more instead of idling.
 const CHUNKS_PER_WORKER: usize = 8;
 
-/// Like [`par_chunk_flat_map`], but with dynamic load balancing: the
-/// items are split into more chunks than workers and the pool's shared
-/// cursor hands chunks to whichever worker frees up first. Output order
-/// is still **input order** — per-chunk outputs are written into indexed
-/// write-once slots and concatenated in chunk order at the end.
+/// Maps chunks of `items` across the worker pool with dynamic load
+/// balancing and concatenates the per-chunk outputs — any number per
+/// chunk — **in input order**. The items are split into more chunks than
+/// workers and the pool's shared cursor hands chunks to whichever worker
+/// frees up first; per-chunk outputs are written into indexed write-once
+/// slots and concatenated in chunk order at the end.
 ///
-/// This is the fan-out primitive for generated fault populations, whose
-/// cohorts have very uneven costs (64-lane cohorts that early-exit at
+/// This is the fan-out primitive of the lane-batched sweep, whose work
+/// items have very uneven costs (64-lane cohorts that early-exit at
 /// different depths, interleaved with serial singletons): a static
 /// one-chunk-per-worker split can leave most workers idle behind one
-/// expensive chunk, which never happens to the near-uniform standard
-/// list.
+/// expensive chunk. The closure also gets the claiming worker's
+/// [`WorkerScratch`], where the sweep keeps its dispatch buffers (lane
+/// memory backing stores, merged schedules, lowered cohorts) so
+/// consecutive chunks on one worker reuse the allocations.
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (the panic is propagated by the pool).
-pub fn par_chunk_flat_map_balanced<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    par_chunk_flat_map_balanced_scratch(items, threads, |chunk, _| map_chunk(chunk))
-}
-
-/// [`par_chunk_flat_map_balanced`] with access to the claiming worker's
-/// [`WorkerScratch`]: the lane-batched sweep keeps its dispatch buffers
-/// (lane memory backing stores, merged schedules, ownership masks) in the
-/// scratch so consecutive chunks on one worker reuse the allocations.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the panic is propagated by the pool).
+/// Panics if a worker panics (the first worker's payload is propagated).
 pub fn par_chunk_flat_map_balanced_scratch<T, R, F>(
     items: &[T],
     threads: usize,
@@ -168,7 +142,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = par_chunk_flat_map_balanced(&items, threads, |chunk| {
+            let out = par_chunk_flat_map_balanced_scratch(&items, threads, |chunk, _| {
                 chunk
                     .iter()
                     .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
@@ -180,9 +154,10 @@ mod tests {
 
     #[test]
     fn balanced_flat_map_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u8> = par_chunk_flat_map_balanced(&[] as &[u8], 8, |chunk| chunk.to_vec());
+        let empty: Vec<u8> =
+            par_chunk_flat_map_balanced_scratch(&[] as &[u8], 8, |chunk, _| chunk.to_vec());
         assert!(empty.is_empty());
-        let one = par_chunk_flat_map_balanced(&[7u8], 8, |chunk| chunk.to_vec());
+        let one = par_chunk_flat_map_balanced_scratch(&[7u8], 8, |chunk, _| chunk.to_vec());
         assert_eq!(one, vec![7]);
     }
 
@@ -196,7 +171,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, x as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = par_chunk_flat_map(&items, threads, |chunk| {
+            let out = par_chunk_flat_map_balanced_scratch(&items, threads, |chunk, _| {
                 chunk
                     .iter()
                     .flat_map(|&x| std::iter::repeat_n(x, x as usize))

@@ -15,7 +15,7 @@
 //! `lane_batch_equivalence.rs` and `dense_population_differential.rs`.
 
 use march_test::address_order::WordLineAfterWordLine;
-use march_test::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned_on_walk, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
@@ -39,7 +39,9 @@ fn march_ss_lane_sweep_at_4096_by_4096_matches_the_per_fault_sample() {
         parallel: false,
         backend,
     };
-    let batched = evaluate_coverage_on_walk(&walk, &population, options(SweepBackend::LaneBatched));
+    let batched =
+        evaluate_coverage_interned_on_walk(&walk, &population, options(SweepBackend::LaneBatched))
+            .materialize();
     assert_eq!(batched.total(), population.len());
     assert!(
         batched.detected() > 0,
@@ -60,7 +62,9 @@ fn march_ss_lane_sweep_at_4096_by_4096_matches_the_per_fault_sample() {
         .take(64)
         .unzip();
     assert_eq!(sample.len(), 64);
-    let golden = evaluate_coverage_on_walk(&walk, &sample, options(SweepBackend::PerFault));
+    let golden =
+        evaluate_coverage_interned_on_walk(&walk, &sample, options(SweepBackend::PerFault))
+            .materialize();
     for (outcome, &index) in golden.outcomes().iter().zip(&positions) {
         assert_eq!(outcome, &batched.outcomes()[index], "fault {index}");
     }

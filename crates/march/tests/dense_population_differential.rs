@@ -25,8 +25,11 @@
 use march_test::address_order::{
     AddressOrder, ColumnMajor, LinearOrder, PseudoRandomOrder, WordLineAfterWordLine,
 };
+use march_test::algorithm::MarchTest;
 use march_test::batch::{Cohort, CohortPlanner, FaultBatch};
-use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
+use march_test::coverage::{
+    evaluate_coverage_interned_on_walk, CoverageReport, SweepBackend, SweepOptions,
+};
 use march_test::executor::{run_march_lanes, run_march_walk, MarchResult, MarchWalk};
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
@@ -35,6 +38,19 @@ use march_test::library;
 use march_test::memory::GoodMemory;
 use march_test::rng::SplitMix64;
 use sram_model::config::ArrayOrganization;
+
+/// Sweeps `faults` under `test`/`order` through the sweep driver and
+/// materializes the string-bearing report.
+fn sweep_report(
+    test: &MarchTest,
+    order: &dyn AddressOrder,
+    organization: &ArrayOrganization,
+    faults: &[FaultFactory],
+    options: SweepOptions,
+) -> CoverageReport {
+    let walk = MarchWalk::new(test, order, organization);
+    evaluate_coverage_interned_on_walk(&walk, faults, options).materialize()
+}
 
 /// One randomized scenario, fully determined by `seed`.
 struct Scenario {
@@ -102,7 +118,7 @@ impl Scenario {
     /// Asserts every batched configuration reproduces the golden path
     /// bit-identically on this scenario.
     fn check(&self) {
-        let golden = evaluate_coverage_with(
+        let golden = sweep_report(
             &self.test,
             self.order.as_ref(),
             &self.organization,
@@ -120,7 +136,7 @@ impl Scenario {
             SweepBackend::LaneBatchedListOrder,
         ] {
             for parallel in [false, true] {
-                let batched = evaluate_coverage_with(
+                let batched = sweep_report(
                     &self.test,
                     self.order.as_ref(),
                     &self.organization,
@@ -172,8 +188,8 @@ impl Scenario {
                     .iter()
                     .map(|&index| {
                         self.population[index]()
-                            .lane_form()
-                            .expect("planned lane faults have lane forms")
+                            .lane_kind()
+                            .expect("planned lane faults have lane kinds")
                     })
                     .collect();
                 let detections = run_march_lanes(&walk, &mut lanes, self.background, self.mode);
@@ -322,7 +338,7 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                 parallel,
                 backend,
             };
-            let golden = evaluate_coverage_with(
+            let golden = sweep_report(
                 &test,
                 &WordLineAfterWordLine,
                 &organization,
@@ -330,7 +346,7 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                 options(SweepBackend::PerFault, false),
             );
             for parallel in [false, true] {
-                let ordered_report = evaluate_coverage_with(
+                let ordered_report = sweep_report(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
@@ -341,7 +357,7 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                     golden, ordered_report,
                     "{tag} [{mode:?}, parallel={parallel}]"
                 );
-                let shuffled_report = evaluate_coverage_with(
+                let shuffled_report = sweep_report(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,

@@ -8,8 +8,11 @@
 //! cohort sizes around the 64-lane boundary.
 
 use march_test::address_order::{AddressOrder, ColumnMajor, WordLineAfterWordLine};
-use march_test::batch::{sweep_batched, Cohort, FaultBatch};
-use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
+use march_test::algorithm::MarchTest;
+use march_test::batch::{Cohort, FaultBatch};
+use march_test::coverage::{
+    evaluate_coverage_interned_on_walk, CoverageReport, SweepBackend, SweepOptions,
+};
 use march_test::executor::{run_march_lanes, run_march_walk, MarchWalk};
 use march_test::fault_sim::DetectionMode;
 use march_test::faults::{
@@ -20,6 +23,19 @@ use march_test::library;
 use march_test::memory::GoodMemory;
 use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
+
+/// Sweeps `faults` under `test`/`order` through the sweep driver and
+/// materializes the string-bearing report.
+fn sweep_report(
+    test: &MarchTest,
+    order: &dyn AddressOrder,
+    organization: &ArrayOrganization,
+    faults: &[FaultFactory],
+    options: SweepOptions,
+) -> CoverageReport {
+    let walk = MarchWalk::new(test, order, organization);
+    evaluate_coverage_interned_on_walk(&walk, faults, options).materialize()
+}
 
 fn organizations() -> Vec<ArrayOrganization> {
     vec![
@@ -40,7 +56,7 @@ fn batched_sweep_equals_the_serial_per_fault_path_everywhere() {
             for order in [&WordLineAfterWordLine as &dyn AddressOrder, &ColumnMajor] {
                 for background in [false, true] {
                     for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                        let golden = evaluate_coverage_with(
+                        let golden = sweep_report(
                             &test,
                             order,
                             &organization,
@@ -53,7 +69,7 @@ fn batched_sweep_equals_the_serial_per_fault_path_everywhere() {
                             },
                         );
                         for parallel in [false, true] {
-                            let batched = evaluate_coverage_with(
+                            let batched = sweep_report(
                                 &test,
                                 order,
                                 &organization,
@@ -96,7 +112,7 @@ fn lane_detections_report_the_same_first_mismatch_as_the_full_walk() {
                     faults.iter().map(|factory| factory()).collect();
                 let mut lanes: Vec<_> = instances
                     .iter()
-                    .map(|fault| fault.lane_form().expect("standard faults have lane forms"))
+                    .map(|fault| fault.lane_kind().expect("standard faults have lane kinds"))
                     .collect();
                 let detections =
                     run_march_lanes(&walk, &mut lanes, background, DetectionMode::Full);
@@ -132,14 +148,42 @@ fn lane_detections_report_the_same_first_mismatch_as_the_full_walk() {
     }
 }
 
-/// The devirtualized kernel instantiation (`&mut [LaneFaultKind]`, match
-/// dispatch on inline enum data) must produce detections bit-identical to
-/// the boxed instantiation (`&mut [Box<dyn LaneFault>]`, the external
-/// escape hatch) for the same cohort — the two are the same algorithm
-/// monomorphized twice.
+/// The per-owner reference kernel is generic over the lane form: the
+/// devirtualized instantiation (`&mut [LaneFaultKind]`, match dispatch on
+/// inline enum data) must produce detections bit-identical to a
+/// virtual-dispatch instantiation over boxed trait objects for the same
+/// cohort — the two are the same algorithm monomorphized twice.
 #[test]
 fn enum_cohorts_and_boxed_cohorts_report_identical_detections() {
-    use march_test::faults::LaneFaultKind;
+    use march_test::faults::{LaneFault, LaneFaultKind};
+    use march_test::memory::LaneMemory;
+
+    /// A lane form behind virtual dispatch.
+    #[derive(Debug)]
+    struct Boxed(Box<dyn LaneFault>);
+    impl LaneFault for Boxed {
+        fn involved(&self) -> Vec<Address> {
+            self.0.involved()
+        }
+        fn lane_write(
+            &mut self,
+            memory: &mut LaneMemory,
+            lane: u32,
+            address: Address,
+            value: bool,
+        ) {
+            self.0.lane_write(memory, lane, address, value);
+        }
+        fn lane_read(
+            &mut self,
+            memory: &mut LaneMemory,
+            lane: u32,
+            address: Address,
+            sensed_before: bool,
+        ) -> bool {
+            self.0.lane_read(memory, lane, address, sensed_before)
+        }
+    }
 
     for organization in organizations() {
         let faults = standard_fault_list(&organization);
@@ -158,9 +202,10 @@ fn enum_cohorts_and_boxed_cohorts_report_identical_detections() {
                     let mut boxed: Vec<_> = faults
                         .iter()
                         .map(|factory| {
-                            factory()
-                                .lane_form()
-                                .expect("standard faults have lane forms")
+                            let kind = factory()
+                                .lane_kind()
+                                .expect("standard faults have lane kinds");
+                            Boxed(Box::new(kind))
                         })
                         .collect();
                     let via_enum = run_march_lanes(&walk, &mut inline, background, mode);
@@ -220,7 +265,7 @@ fn odd_cohort_sizes_around_the_lane_width_stay_equivalent() {
         }
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
             for background in [false, true] {
-                let golden = evaluate_coverage_with(
+                let golden = sweep_report(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
@@ -232,7 +277,20 @@ fn odd_cohort_sizes_around_the_lane_width_stay_equivalent() {
                         backend: SweepBackend::PerFault,
                     },
                 );
-                let batched = sweep_batched(&walk, &faults, background, mode, 1);
+                let batched = sweep_report(
+                    &test,
+                    &WordLineAfterWordLine,
+                    &organization,
+                    &faults,
+                    SweepOptions {
+                        background,
+                        mode,
+                        parallel: false,
+                        backend: SweepBackend::LaneBatched,
+                    },
+                )
+                .outcomes()
+                .to_vec();
                 assert_eq!(
                     golden.outcomes(),
                     batched.as_slice(),

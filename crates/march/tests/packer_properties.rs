@@ -14,7 +14,7 @@
 //! reproduces from the printed seed.
 
 use march_test::address_order::WordLineAfterWordLine;
-use march_test::batch::{sweep_batched_with, Cohort, CohortPlanner, FaultBatch};
+use march_test::batch::{sweep_batched, Cohort, CohortPlanner, FaultBatch};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
@@ -64,7 +64,7 @@ fn every_fault_lands_in_exactly_one_lane_and_cohorts_cap_at_sixty_four() {
                 let mut seen: Vec<usize> = Vec::with_capacity(faults.len());
                 for cohort in plan.cohorts() {
                     match cohort {
-                        Cohort::Lanes(indices) | Cohort::BoxedLanes(indices) => {
+                        Cohort::Lanes(indices) => {
                             assert!(
                                 indices.len() <= LaneMemory::LANES,
                                 "seed {seed:#x} [{planner:?}]: cohort of {} lanes",
@@ -101,18 +101,12 @@ fn outcomes_reassemble_in_fault_list_order() {
         );
         for planner in PLANNERS {
             for threads in [1, 8] {
-                let outcomes = sweep_batched_with(
-                    &walk,
-                    &faults,
-                    false,
-                    DetectionMode::Full,
-                    threads,
-                    planner,
-                );
+                let outcomes =
+                    sweep_batched(&walk, &faults, false, DetectionMode::Full, threads, planner);
                 assert_eq!(outcomes.len(), faults.len(), "seed {seed:#x}");
-                for (index, (outcome, factory)) in outcomes.iter().zip(&faults).enumerate() {
+                for (index, ((fault, ..), factory)) in outcomes.iter().zip(&faults).enumerate() {
                     assert_eq!(
-                        outcome.fault_name,
+                        fault.name(),
                         factory().name(),
                         "seed {seed:#x} [{planner:?}, threads={threads}]: outcome {index} \
                          must describe fault {index}"

@@ -10,12 +10,29 @@
 //! drift hide inside an equivalence shuffle.
 
 use march_test::address_order::{AddressOrder, ColumnMajor, LinearOrder, WordLineAfterWordLine};
-use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
+use march_test::algorithm::MarchTest;
+use march_test::coverage::{
+    evaluate_coverage_interned_on_walk, CoverageReport, SweepBackend, SweepOptions,
+};
 use march_test::dof::verify_order_independence_with;
+use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
-use march_test::faults::standard_fault_list;
+use march_test::faults::{standard_fault_list, FaultFactory};
 use march_test::library;
 use sram_model::config::ArrayOrganization;
+
+/// Sweeps `faults` under `test`/`order` through the sweep driver and
+/// materializes the string-bearing report.
+fn sweep_report(
+    test: &MarchTest,
+    order: &dyn AddressOrder,
+    organization: &ArrayOrganization,
+    faults: &[FaultFactory],
+    options: SweepOptions,
+) -> CoverageReport {
+    let walk = MarchWalk::new(test, order, organization);
+    evaluate_coverage_interned_on_walk(&walk, faults, options).materialize()
+}
 
 /// The frozen golden table: `(algorithm, detected)` out of the 48-fault
 /// standard library under the word-line-after-word-line order.
@@ -48,7 +65,7 @@ fn golden_coverage_table_is_stable_across_planners_and_backends() {
             for backend in BACKENDS {
                 for parallel in [false, true] {
                     for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                        let report = evaluate_coverage_with(
+                        let report = sweep_report(
                             test,
                             &WordLineAfterWordLine,
                             &organization,

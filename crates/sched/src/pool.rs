@@ -68,9 +68,11 @@ fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Poll<'a> + Sync)) {
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (the scope propagates it). Producers that
-/// must survive item panics catch them inside the item's closure, as the
-/// campaign runner does.
+/// If a worker panics, the pool waits for every worker to exit and then
+/// resumes unwinding with the lowest-indexed panicking worker's original
+/// payload, so the caller sees the same panic message a single-threaded
+/// run would raise. Producers that must survive item panics catch them
+/// inside the item's closure, as the campaign runner does.
 pub fn run_pool<'a, F>(threads: usize, next: F)
 where
     F: Fn(usize) -> Poll<'a> + Sync,
@@ -78,13 +80,27 @@ where
     let workers = threads.max(1);
     if workers == 1 {
         drain(0, &next);
-    } else {
-        thread::scope(|scope| {
-            for worker in 0..workers {
+        return;
+    }
+    // Joining every handle explicitly keeps the scope from replacing the
+    // payload with its own "a scoped thread panicked".
+    let panic = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
                 let next = &next;
-                scope.spawn(move || drain(worker, next));
+                scope.spawn(move || drain(worker, next))
+            })
+            .collect();
+        let mut first = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first.get_or_insert(payload);
             }
-        });
+        }
+        first
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
 }
 
@@ -116,7 +132,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (the panic is propagated).
+/// Panics if a worker panics, with the first worker's original payload
+/// (see [`run_pool`]).
 pub fn map_chunks<T, R, F>(
     kind: WorkKind,
     items: &[T],
@@ -259,6 +276,27 @@ mod tests {
         let mut ran = ran.into_inner().unwrap();
         ran.sort_unstable();
         assert_eq!(ran, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        for threads in [2, 3, 8] {
+            let items: Vec<u32> = (0..64).collect();
+            let caught = std::panic::catch_unwind(|| {
+                map_chunks(WorkKind::FaultSweep, &items, threads, 16, |chunk, _| {
+                    if chunk.contains(&37) {
+                        panic!("item 37 exploded");
+                    }
+                    chunk.to_vec()
+                })
+            })
+            .expect_err("the panic must reach the caller");
+            assert_eq!(
+                caught.downcast_ref::<&str>(),
+                Some(&"item 37 exploded"),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

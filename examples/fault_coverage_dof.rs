@@ -14,7 +14,7 @@
 use sram_test_power::march_test::address_order::{
     AddressOrder, ColumnMajor, WordLineAfterWordLine,
 };
-use sram_test_power::march_test::coverage::{evaluate_coverage_on_walk, SweepOptions};
+use sram_test_power::march_test::coverage::{evaluate_coverage_interned_on_walk, SweepOptions};
 use sram_test_power::march_test::dof::{verify_order_independence, DegreeOfFreedom};
 use sram_test_power::march_test::executor::MarchWalk;
 use sram_test_power::march_test::faults::static_fault_list;
@@ -50,8 +50,10 @@ fn main() -> Result<(), SramError> {
     for test in library::table1_algorithms() {
         let row_walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
         let col_walk = MarchWalk::new(&test, &ColumnMajor, &organization);
-        let row_major = evaluate_coverage_on_walk(&row_walk, &faults, SweepOptions::fast());
-        let col_major = evaluate_coverage_on_walk(&col_walk, &faults, SweepOptions::fast());
+        let row_major =
+            evaluate_coverage_interned_on_walk(&row_walk, &faults, SweepOptions::fast());
+        let col_major =
+            evaluate_coverage_interned_on_walk(&col_walk, &faults, SweepOptions::fast());
         let report = verify_order_independence(&test, &orders, &organization, &faults);
         println!(
             "{:<10} {:>21.1}% {:>13.1}% {:>18}",
@@ -69,7 +71,8 @@ fn main() -> Result<(), SramError> {
     println!();
     println!("per-kind detail for March SS under the paper's address order:");
     let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-    let report = evaluate_coverage_on_walk(&walk, &faults, SweepOptions::fast());
+    let report =
+        evaluate_coverage_interned_on_walk(&walk, &faults, SweepOptions::fast()).materialize();
     for (kind, (detected, total)) in report.by_kind() {
         println!("  {kind:<5} {detected}/{total}");
     }
